@@ -125,7 +125,7 @@ def run(config_path, data, synthetic, seed, out_dir, algorithm, dump_data):
 @_algorithm_option
 @_dump_option
 def grid(config_path, data, synthetic, seed, out_dir, algorithm, dump_data):
-    """Hyperparameter grid search; retrains and reports each winner."""
+    """Hyperparameter grid search; reports each winner as the search trained it."""
     _execute(
         "grid",
         config_path=config_path,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data_pipeline import LocalDataset
 from .errors import DegenerateGraphError, ParameterError, ShapeError, SingularSystemError
-from .model_core import least_squares_fit, weight_discrepancy
+from .model_core import least_squares_fit
 
 
 @dataclass
@@ -84,11 +84,7 @@ def discrepancy_matrix(weights) -> np.ndarray:
     n = W.shape[0]
     if n < 2:
         raise DegenerateGraphError(f"need at least 2 nodes, got {n}")
-    disc = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            disc[i, j] = disc[j, i] = weight_discrepancy(W[i], W[j])
-    return disc
+    return np.linalg.norm(W[:, None] - W[None], axis=-1)
 
 
 def build_knn_graph(disc, d: int) -> EmpiricalGraph:

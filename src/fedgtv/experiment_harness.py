@@ -230,24 +230,29 @@ class GridCell:
 
 @dataclass
 class GridSearchResult:
-    """All recorded cells plus the per-algorithm winners.
+    """All recorded cells, the per-algorithm winners, and what each winner trained.
 
-    ``discrepancies`` carries the pairwise weight-discrepancy matrix when
-    fedsgd was searched, so callers can rebuild the winning graph without
-    refitting the local models.
+    ``trained[name]`` is the selected cell's ``(W, trace, graph)``: the final
+    weight stack and training trace, and the graph it trained on (None for
+    the averaging variants). Training is deterministic, so callers report
+    the winners from these without retraining them.
     """
 
     cells: list[GridCell]
     best: dict[str, GridCell]
-    discrepancies: np.ndarray | None = None
+    trained: dict[str, tuple[np.ndarray, TrainingTrace, EmpiricalGraph | None]]
 
 
 def select_best(cells: Sequence[GridCell]) -> GridCell:
-    """Lowest validation MSE; ties broken by smaller eta, alpha, then degree."""
-    trained = [c for c in cells if c.val_mse is not None]
+    """Lowest finite validation MSE; ties broken by smaller eta, alpha, then degree.
+
+    Skipped (disconnected) and non-finite (diverged) cells are never selected.
+    """
+    trained = [c for c in cells if c.val_mse is not None and math.isfinite(c.val_mse)]
     if not trained:
         raise NoFeasibleConfigError(
-            "every grid candidate was skipped (all graphs disconnected)"
+            "no grid candidate has a finite validation MSE "
+            "(every graph disconnected or every run diverged)"
         )
     return min(
         trained,
@@ -278,30 +283,34 @@ def run_grid_search(
     fedsgd sweeps alpha x eta x degree; a degree whose union-kNN graph is
     disconnected skips all its (alpha, eta) combinations, each recorded as an
     untrained cell. The averaging variants sweep eta only. Every candidate
-    trains fresh from zeros (no warm starts). Cells are recorded in
-    degree-major, then alpha, then eta order; selection does not depend on
-    that order. Raises NoFeasibleConfigError when an algorithm has no
-    trainable candidate.
+    trains once, fresh from zeros (no warm starts), and each algorithm's
+    winner keeps its weights, trace and graph in ``trained``. Cells are
+    recorded in degree-major, then alpha, then eta order; selection does not
+    depend on that order. Raises NoFeasibleConfigError when an algorithm has
+    no candidate with a finite validation MSE.
     """
     if len(datasets) == 0:
         raise DegenerateInputError("no datasets to search over")
     grid = GridSpec() if grid is None else grid
     cells: list[GridCell] = []
     best: dict[str, GridCell] = {}
+    trained: dict[str, tuple] = {}
+    fits: dict[tuple, tuple] = {}
     disc = None
 
-    def score(algorithm, eta, alpha, graph) -> float:
+    def fit(algorithm, eta, alpha, degree, graph) -> GridCell:
         config = OptimizerConfig(
             algorithm=algorithm,
             eta=eta,
-            alpha=alpha,
+            alpha=alpha or 0.0,
             batch_size=batch_size,
             max_iterations=max_iterations,
             seed=seed,
             trace_every=trace_every,
         )
-        W, _ = train(datasets, graph, config)
-        return _mean_val_mse(W, datasets)
+        W, trace = train(datasets, graph, config)
+        fits[algorithm, eta, alpha, degree] = (W, trace, graph)
+        return GridCell(algorithm.value, eta, alpha, degree, True, _mean_val_mse(W, datasets))
 
     for algorithm in grid.algorithms:
         algo_cells: list[GridCell] = []
@@ -318,26 +327,18 @@ def run_grid_search(
                 for alpha in grid.alphas:
                     for eta in grid.etas:
                         if connected:
-                            cell = GridCell(
-                                algorithm.value,
-                                eta,
-                                alpha,
-                                d,
-                                True,
-                                score(algorithm, eta, alpha, graph),
-                            )
+                            algo_cells.append(fit(algorithm, eta, alpha, d, graph))
                         else:
-                            cell = GridCell(algorithm.value, eta, alpha, d, False, None)
-                        algo_cells.append(cell)
+                            algo_cells.append(
+                                GridCell(algorithm.value, eta, alpha, d, False, None)
+                            )
         else:
             for eta in grid.etas:
-                cell = GridCell(
-                    algorithm.value, eta, None, None, True, score(algorithm, eta, 0.0, None)
-                )
-                algo_cells.append(cell)
+                algo_cells.append(fit(algorithm, eta, None, None, None))
         cells.extend(algo_cells)
-        best[algorithm.value] = select_best(algo_cells)
-    return GridSearchResult(cells=cells, best=best, discrepancies=disc)
+        winner = best[algorithm.value] = select_best(algo_cells)
+        trained[algorithm.value] = fits[algorithm, winner.eta, winner.alpha, winner.degree]
+    return GridSearchResult(cells=cells, best=best, trained=trained)
 
 
 @dataclass
@@ -559,6 +560,12 @@ def _render_grid_csv(cells: Sequence[GridCell]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _hyperparameters(algorithm: Algorithm, eta, alpha, degree) -> dict:
+    if algorithm is Algorithm.FEDSGD:
+        return {"alpha": alpha, "eta": eta, "degree": degree}
+    return {"eta": eta}
+
+
 def _load_datasets(cfg: ExperimentConfig):
     """Returns (datasets, source manifest entry)."""
     if cfg.data_path is not None and cfg.synthetic_path is not None:
@@ -608,8 +615,9 @@ def run_experiment(
     """Execute one experiment and write its artifacts to ``out_dir``.
 
     Modes: "run" trains the configured algorithms at the fixed [optimizer]
-    settings; "grid" runs the hyperparameter search and retrains each
-    algorithm's winner; "graph" only builds and exports the empirical graph.
+    settings; "grid" runs the hyperparameter search and reports each
+    algorithm's winner from the weights and trace the search already trained;
+    "graph" only builds and exports the empirical graph.
     Nothing is written until every computation has succeeded (no partial
     artifacts), and identical inputs produce byte-identical outputs (the
     manifest records versions but no timestamps). Returns a summary dict with
@@ -656,66 +664,60 @@ def run_experiment(
     }
     report: MetricsReport | None = None
     graph: EmpiricalGraph | None = None
-    traces: dict[str, TrainingTrace] = {}
 
     if mode == "graph":
-        disc = discrepancy_matrix(pretrain_local_weights(datasets))
-        graph = build_knn_graph(disc, cfg.degree)
-        manifest["graph"] = graph_summary(graph)
-    elif mode == "run":
-        algorithms = chosen or cfg.algorithms
-        manifest["optimizer"] = {
-            "algorithms": [a.value for a in algorithms],
-            "eta": cfg.eta,
-            "alpha": cfg.alpha,
-            "batch_size": cfg.batch_size,
-            "max_iterations": cfg.max_iterations,
-        }
-        if Algorithm.FEDSGD in algorithms:
-            disc = discrepancy_matrix(pretrain_local_weights(datasets))
-            graph = build_knn_graph(disc, cfg.degree)
-            manifest["graph"] = graph_summary(graph)
-        report = MetricsReport()
-        for algo in algorithms:
-            config = cfg.optimizer_config(algo)
-            if algo is Algorithm.FEDSGD:
-                params = {"alpha": cfg.alpha, "eta": cfg.eta, "degree": cfg.degree}
-                W, trace = train(datasets, graph, config)
-            else:
-                params = {"eta": cfg.eta}
-                W, trace = train(datasets, None, config)
-            report.blocks.extend(evaluate(W, datasets, algo.value, params).blocks)
-            traces[algo.value] = trace
-    else:
-        grid = cfg.grid if chosen is None else replace(cfg.grid, algorithms=chosen)
-        result = run_grid_search(
-            datasets,
-            grid,
-            batch_size=cfg.batch_size,
-            max_iterations=cfg.max_iterations,
-            seed=cfg.seed,
-            trace_every=cfg.trace_every,
+        graph = build_knn_graph(
+            discrepancy_matrix(pretrain_local_weights(datasets)), cfg.degree
         )
-        artifacts["grid.csv"] = _render_grid_csv(result.cells)
-        manifest["selected"] = {
-            name: cell.to_dict() for name, cell in sorted(result.best.items())
-        }
+        manifest["graph"] = graph_summary(graph)
+    else:
+        # One (algorithm, hyperparameters, W, trace, graph or None) record per
+        # trained algorithm, reported by the loop below in both modes.
+        fits = []
+        if mode == "run":
+            algorithms = chosen or cfg.algorithms
+            manifest["optimizer"] = {
+                "algorithms": [a.value for a in algorithms],
+                "eta": cfg.eta,
+                "alpha": cfg.alpha,
+                "batch_size": cfg.batch_size,
+                "max_iterations": cfg.max_iterations,
+            }
+            if Algorithm.FEDSGD in algorithms:
+                graph = build_knn_graph(
+                    discrepancy_matrix(pretrain_local_weights(datasets)), cfg.degree
+                )
+            for algo in algorithms:
+                algo_graph = graph if algo is Algorithm.FEDSGD else None
+                W, trace = train(datasets, algo_graph, cfg.optimizer_config(algo))
+                params = _hyperparameters(algo, cfg.eta, cfg.alpha, cfg.degree)
+                fits.append((algo, params, W, trace, algo_graph))
+        else:
+            grid = cfg.grid if chosen is None else replace(cfg.grid, algorithms=chosen)
+            result = run_grid_search(
+                datasets,
+                grid,
+                batch_size=cfg.batch_size,
+                max_iterations=cfg.max_iterations,
+                seed=cfg.seed,
+                trace_every=cfg.trace_every,
+            )
+            artifacts["grid.csv"] = _render_grid_csv(result.cells)
+            manifest["selected"] = {
+                name: cell.to_dict() for name, cell in sorted(result.best.items())
+            }
+            for algo in grid.algorithms:
+                winner = result.best[algo.value]
+                params = _hyperparameters(algo, winner.eta, winner.alpha, winner.degree)
+                fits.append((algo, params, *result.trained[algo.value]))
         report = MetricsReport()
-        for algo in grid.algorithms:
-            winner = result.best[algo.value]
-            config = cfg.optimizer_config(algo, eta=winner.eta, alpha=winner.alpha or 0.0)
-            if algo is Algorithm.FEDSGD:
-                graph = build_knn_graph(result.discrepancies, winner.degree)
+        traces: dict[str, TrainingTrace] = {}
+        for algo, params, W, trace, algo_graph in fits:
+            if algo_graph is not None:
+                graph = algo_graph
                 manifest["graph"] = graph_summary(graph)
-                params = {"alpha": winner.alpha, "eta": winner.eta, "degree": winner.degree}
-                W, trace = train(datasets, graph, config)
-            else:
-                params = {"eta": winner.eta}
-                W, trace = train(datasets, None, config)
             report.blocks.extend(evaluate(W, datasets, algo.value, params).blocks)
             traces[algo.value] = trace
-
-    if report is not None:
         artifacts["metrics.txt"] = report.to_text()
         artifacts["metrics.json"] = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
         artifacts["trace.csv"] = _render_trace_csv(traces, node_ids)

@@ -74,7 +74,7 @@ class OptimizerConfig:
 
 @dataclass
 class TrainingTrace:
-    """Objective values logged during training plus the final weight stack.
+    """Objective values logged during training.
 
     For fedsgd ``objective`` holds the full GTV objective (full-batch train
     losses plus the weighted edge penalty); for the averaging variants it is
@@ -85,7 +85,6 @@ class TrainingTrace:
     rounds: list[int] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
     node_losses: list[np.ndarray] = field(default_factory=list)
-    final_weights: np.ndarray | None = None
 
 
 def _as_stack(weights, datasets, graph: EmpiricalGraph | None = None) -> np.ndarray:
@@ -124,13 +123,11 @@ def fedsgd_round(
     graph: EmpiricalGraph,
     config: OptimizerConfig,
     round_index: int,
-    node_order: Sequence[int] | None = None,
 ) -> np.ndarray:
     """One synchronous fedsgd round; returns the next weight stack.
 
     Every node reads only ``weights`` (round-k values), so the result does not
-    depend on processing order; ``node_order`` lets tests and parallel
-    schedulers permute execution. Mini-batches are drawn uniformly without
+    depend on processing order. Mini-batches are drawn uniformly without
     replacement from a stream seeded by (seed, node_id, round_index);
     batch_size >= m falls back to the full training split, and drawn indices
     are sorted so the summation order is fixed. Nodes without neighbors take
@@ -138,8 +135,7 @@ def fedsgd_round(
     """
     W = _as_stack(weights, datasets, graph)
     new_W = np.empty_like(W)
-    order = range(W.shape[0]) if node_order is None else node_order
-    for i in order:
+    for i in range(W.shape[0]):
         ds = datasets[i]
         X, y = ds.train
         m = X.shape[0]
@@ -246,5 +242,4 @@ def train(
             trace.rounds.append(k + 1)
             trace.objective.append(value)
             trace.node_losses.append(losses)
-    trace.final_weights = W.copy()
     return W, trace

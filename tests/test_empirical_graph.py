@@ -56,8 +56,9 @@ class TestEmpiricalGraph:
 
 class TestDiscrepancyMatrix:
     def test_identical_vectors(self):
-        W = np.ones((3, 4))
-        assert np.array_equal(discrepancy_matrix(W), np.zeros((3, 3)))
+        for W in (np.ones((3, 4)), np.tile([1.0, -2.0, 3.0], (2, 1))):
+            n = W.shape[0]
+            assert np.array_equal(discrepancy_matrix(W), np.zeros((n, n)))
 
     def test_collinear_hand_values(self):
         W = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
@@ -65,17 +66,24 @@ class TestDiscrepancyMatrix:
         assert D[0, 1] == 5.0
         assert D[0, 2] == 10.0
         assert D[1, 2] == 5.0
+        assert discrepancy_matrix([[0.0, 0.0], [3.0, 4.0]])[1, 0] == 5.0
 
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(0)
-        D = discrepancy_matrix(rng.standard_normal((6, 3)))
-        assert np.array_equal(D, D.T)
-        assert np.array_equal(np.diagonal(D), np.zeros(6))
-        assert (D >= 0).all()
+        for W in (rng.standard_normal((6, 3)), rng.standard_normal((10, 5))):
+            n = W.shape[0]
+            D = discrepancy_matrix(W)
+            assert np.array_equal(D, D.T)
+            assert np.array_equal(np.diagonal(D), np.zeros(n))
+            assert (D >= 0).all()
+            for i, j in ((0, 1), (2, n - 1)):
+                assert D[i, j] == pytest.approx(np.linalg.norm(W[i] - W[j]), rel=1e-14)
 
     def test_single_node_rejected(self):
         with pytest.raises(DegenerateGraphError):
             discrepancy_matrix(np.ones((1, 3)))
+        with pytest.raises(ShapeError):
+            discrepancy_matrix(np.ones(3))
 
 
 class TestBuildKnnGraph:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from fedgtv import experiment_harness
 from fedgtv.cli import main
 from fedgtv.data_pipeline import LocalDataset, SyntheticSpec, generate_synthetic
 from fedgtv.errors import (
@@ -214,6 +215,21 @@ class TestSelectBest:
         ]
         with pytest.raises(NoFeasibleConfigError):
             select_best(cells)
+        cells += [
+            GridCell("fedsgd", eta=0.1, alpha=0.1, degree=2, val_mse=float("nan")),
+            GridCell("fedsgd", eta=0.01, alpha=0.1, degree=2, val_mse=float("inf")),
+        ]
+        with pytest.raises(NoFeasibleConfigError):
+            select_best(cells)
+
+    def test_non_finite_cells_never_selected(self):
+        for bad in (float("nan"), float("inf")):
+            cells = [
+                GridCell("fedavg1", eta=0.1, val_mse=bad),
+                GridCell("fedavg1", eta=0.01, val_mse=2.0),
+            ]
+            assert select_best(cells).eta == 0.01
+            assert select_best(cells[::-1]).eta == 0.01
 
 
 class TestRunGridSearch:
@@ -230,7 +246,16 @@ class TestRunGridSearch:
         for name in ("fedavg1", "fedavg2"):
             assert sum(c.algorithm == name for c in result.cells) == 2
         assert set(result.best) == {"fedsgd", "fedavg1", "fedavg2"}
-        assert result.discrepancies is not None
+        assert set(result.trained) == set(result.best)
+        for name, cell in result.best.items():
+            W, trace, graph = result.trained[name]
+            assert W.shape == (4, 3)
+            assert trace.rounds[-1] == 30
+            assert evaluate(W, datasets).blocks[0].mean_val == cell.val_mse
+            if name == "fedsgd":
+                assert graph.min_degree == cell.degree
+            else:
+                assert graph is None
 
     def test_best_matches_manual_argmin(self):
         datasets = cluster_datasets()
@@ -264,8 +289,9 @@ class TestRunGridSearch:
         datasets = cluster_datasets()
         grid = GridSpec(etas=(0.05, 0.01), algorithms=("fedavg1",))
         result = run_grid_search(datasets, grid, max_iterations=10)
-        assert result.discrepancies is None
         assert len(result.cells) == 2
+        _, _, graph = result.trained["fedavg1"]
+        assert graph is None
 
 
 class TestLoadExperimentConfig:
@@ -444,6 +470,25 @@ class TestRunExperiment:
         assert manifest["selected"]["fedsgd"]["connected"] is True
         report = result["report"]
         assert [b.algorithm for b in report.blocks] == ["fedsgd", "fedavg1", "fedavg2"]
+
+    def test_grid_mode_trains_each_cell_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_train(datasets, graph, config):
+            calls.append((config, None if graph is None else graph.min_degree))
+            return real_train(datasets, graph, config)
+
+        real_train = experiment_harness.train
+        monkeypatch.setattr(experiment_harness, "train", counting_train)
+        result = run_experiment(synthetic_config(tmp_path), tmp_path / "out", mode="grid")
+        trained_cells = [
+            row for row in (tmp_path / "out" / "grid.csv").read_text().split("\n")[1:]
+            if row and not row.endswith(",")
+        ]
+        assert len(calls) == len(set(calls)) == len(trained_cells)
+        selected = result["manifest"]["selected"]
+        for block in result["report"].blocks:
+            assert block.mean_val == selected[block.algorithm]["val_mse"]
 
     def test_graph_mode_only_exports_graph(self, tmp_path):
         cfg = synthetic_config(tmp_path)

