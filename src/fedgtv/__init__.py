@@ -48,7 +48,6 @@ from .fed_optimizers import (
     Algorithm,
     OptimizerConfig,
     TrainingTrace,
-    dataset_gram,
     fedavg_v1_round,
     fedavg_v2_round,
     fedsgd_round,
@@ -76,7 +75,6 @@ from .model_core import (
     predict,
     proximal_step,
     proximal_step_gram,
-    weight_discrepancy,
 )
 
 __all__ = [
@@ -115,7 +113,6 @@ __all__ = [
     "predict",
     "proximal_step",
     "proximal_step_gram",
-    "weight_discrepancy",
     # empirical graph
     "EmpiricalGraph",
     "build_knn_graph",
@@ -128,7 +125,6 @@ __all__ = [
     "Algorithm",
     "OptimizerConfig",
     "TrainingTrace",
-    "dataset_gram",
     "fedavg_v1_round",
     "fedavg_v2_round",
     "fedsgd_round",

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -135,7 +136,10 @@ class LocalDataset:
 
     ``numeric_columns`` lists the feature columns subject to z-scoring;
     ``feature_stats`` holds the training-split (means, stds) once
-    :func:`normalize` has run.
+    :func:`normalize` has run. :attr:`train_gram` caches the training
+    split's sufficient statistics on first read, so the split arrays must not
+    be mutated in place after that (derive a new dataset with
+    :func:`dataclasses.replace` instead).
     """
 
     node_id: int
@@ -155,6 +159,14 @@ class LocalDataset:
         if name not in ("train", "val", "test"):
             raise ParameterError(f"unknown split {name!r}")
         return getattr(self, name)
+
+    @cached_property
+    def train_gram(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(X^T X, X^T y, m)`` of the training split, computed once."""
+        X, y = self.train
+        if X.shape[0] == 0:
+            raise DegenerateInputError(f"node {self.node_id}: empty training split")
+        return X.T @ X, X.T @ y, X.shape[0]
 
 
 def _parse_flag(text: str) -> int:

@@ -53,6 +53,10 @@ class EmpiricalGraph:
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(int)
 
+    def laplacian(self) -> np.ndarray:
+        """Graph Laplacian ``diag(degrees) - adjacency``."""
+        return np.diag(self.degrees()) - self.adjacency
+
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges as (i, j) pairs with i < j, 0-based."""
         ii, jj = np.nonzero(np.triu(self.adjacency))
@@ -120,17 +124,14 @@ def build_knn_graph(disc, d: int) -> EmpiricalGraph:
 
 def is_connected(graph: EmpiricalGraph) -> bool:
     """True iff every node is reachable from node 0."""
-    n = graph.n
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in graph.neighbors(i):
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
+    adjacent = graph.adjacency > 0
+    seen = np.arange(graph.n) == 0
+    while not seen.all():
+        grown = seen | adjacent[seen].any(axis=0)
+        if np.array_equal(grown, seen):
+            return False
+        seen = grown
+    return True
 
 
 def graph_summary(graph: EmpiricalGraph) -> dict:

@@ -59,8 +59,10 @@ class GridSpec:
 
     Defaults are the usual sweep: alpha in {1, 0.5, 0.1}, eta in
     {0.1, 0.01, 0.001}, degree in {1, 2, 3, 4}, all three algorithms. alphas
-    and degrees only apply to fedsgd. Degrees are additionally bounded by
-    n - 1 at search time, once the node count is known.
+    and degrees only apply to fedsgd. Once the node count n is known, the
+    search rejects any degree outside [1, n - 1] with ParameterError (exit 2)
+    rather than dropping it, so the default degree axis fails on data with
+    fewer than 5 nodes.
     """
 
     alphas: tuple[float, ...] = (1.0, 0.5, 0.1)

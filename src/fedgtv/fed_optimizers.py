@@ -4,8 +4,9 @@ All three algorithms run synchronous rounds over per-node linear models,
 starting from all-zero weights:
 
 * ``fedsgd`` - each node takes one mini-batch gradient step on its local MSE
-  plus the graph coupling ``2 * alpha * sum_{j in N(i)} (w_i - w_j)``, reading
-  only last-round neighbor weights. This is a strict descent step on
+  plus the graph coupling ``2 * alpha * sum_{j in N(i)} (w_i - w_j)``, i.e.
+  row i of ``2 * alpha * L @ W`` for the graph Laplacian ``L``, reading only
+  last-round neighbor weights. This is a strict descent step on
   :func:`gtv_objective`; an update that *added* the coupling difference would
   drive neighbor weights apart instead of together.
 * ``fedavg1`` - one full-batch gradient step per node, then every node adopts
@@ -13,6 +14,10 @@ starting from all-zero weights:
 * ``fedavg2`` - closed-form proximal minimization around the shared weights
   per node, then averaging. No graph is used by either averaging variant
   (the implicit topology is a star around the averaging server).
+
+Both averaging variants see the data only through each node's cached
+:attr:`~fedgtv.data_pipeline.LocalDataset.train_gram` statistics and step all
+nodes with one stacked expression per round.
 """
 from __future__ import annotations
 
@@ -106,15 +111,10 @@ def gtv_objective(weights, datasets: Sequence[LocalDataset], graph: EmpiricalGra
     ``2 * alpha * sum_{j in N(i)} (w_i - w_j)``.
     """
     W = _as_stack(weights, datasets, graph)
-    total = 0.0
-    for i, ds in enumerate(datasets):
-        X, y = ds.train
-        total += mse_loss(X, y, W[i])
-    penalty = 0.0
-    for i, j in graph.edges():
-        diff = W[i] - W[j]
-        penalty += float(diff @ diff)
-    return total + alpha * penalty
+    total = sum(mse_loss(*ds.train, W[i]) for i, ds in enumerate(datasets))
+    ii, jj = np.nonzero(np.triu(graph.adjacency))
+    diff = W[ii] - W[jj]
+    return total + alpha * float(np.sum(diff * diff))
 
 
 def fedsgd_round(
@@ -130,73 +130,55 @@ def fedsgd_round(
     depend on processing order. Mini-batches are drawn uniformly without
     replacement from a stream seeded by (seed, node_id, round_index);
     batch_size >= m falls back to the full training split, and drawn indices
-    are sorted so the summation order is fixed. Nodes without neighbors take
-    a plain local step (the coupling term is an empty sum).
+    are sorted so the summation order is fixed. The loss gradient stays in
+    row form on the drawn batch; the coupling for all nodes is one product
+    ``2 * alpha * L @ W``, whose rows are zero at nodes without neighbors, so
+    those take a plain local step.
     """
     W = _as_stack(weights, datasets, graph)
+    coupling = 2.0 * config.alpha * (graph.laplacian() @ W)
     new_W = np.empty_like(W)
-    for i in range(W.shape[0]):
-        ds = datasets[i]
+    for i, ds in enumerate(datasets):
         X, y = ds.train
-        m = X.shape[0]
-        if m == 0:
-            raise DegenerateInputError(f"node {ds.node_id}: empty training split")
-        if config.batch_size >= m:
-            Xb, yb = X, y
-        else:
+        m = ds.train_gram[2]  # rejects an empty split, naming the node
+        if config.batch_size < m:
             rng = np.random.default_rng([config.seed, ds.node_id, round_index])
             batch = np.sort(rng.choice(m, size=config.batch_size, replace=False))
-            Xb, yb = X[batch], y[batch]
-        grad = mse_gradient(Xb, yb, W[i])
-        nbrs = graph.neighbors(i)
-        coupling = 2.0 * config.alpha * (len(nbrs) * W[i] - W[nbrs].sum(axis=0))
-        new_W[i] = W[i] - config.eta * (grad + coupling)
+            X, y = X[batch], y[batch]
+        new_W[i] = W[i] - config.eta * (mse_gradient(X, y, W[i]) + coupling[i])
     return new_W
+
+
+def _train_grams(datasets: Sequence[LocalDataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack every node's cached ``train_gram`` as (n, d, d), (n, d) and (n,) arrays."""
+    xtx, xty, m = zip(*(ds.train_gram for ds in datasets))
+    return np.stack(xtx), np.stack(xty), np.array(m)
 
 
 def fedavg_v1_round(weights, datasets: Sequence[LocalDataset], config: OptimizerConfig) -> np.ndarray:
     """One projected-gradient round: per-node full-batch step, then average.
 
-    Returns a stack of n identical rows (the averaged weights); the average
-    reduces over ascending node index.
+    All nodes step at once with the Gram-form gradient
+    ``(2/m) (X^T X w - X^T y)``. Returns a stack of n identical rows (the
+    averaged weights); the average reduces over ascending node index.
     """
     W = _as_stack(weights, datasets)
-    stepped = np.empty_like(W)
-    for i, ds in enumerate(datasets):
-        X, y = ds.train
-        stepped[i] = W[i] - config.eta * mse_gradient(X, y, W[i])
-    shared = stepped.mean(axis=0)
+    xtx, xty, m = _train_grams(datasets)
+    grad = (2.0 / m)[:, None] * ((xtx @ W[:, :, None])[:, :, 0] - xty)
+    shared = (W - config.eta * grad).mean(axis=0)
     return np.tile(shared, (W.shape[0], 1))
 
 
-def dataset_gram(ds: LocalDataset) -> tuple[np.ndarray, np.ndarray, int]:
-    """Precompute (X^T X, X^T y, m) of a node's training split."""
-    X, y = ds.train
-    if X.shape[0] == 0:
-        raise DegenerateInputError(f"node {ds.node_id}: empty training split")
-    return X.T @ X, X.T @ y, X.shape[0]
-
-
-def fedavg_v2_round(
-    weights,
-    datasets: Sequence[LocalDataset],
-    config: OptimizerConfig,
-    grams: Sequence[tuple[np.ndarray, np.ndarray, int]] | None = None,
-) -> np.ndarray:
+def fedavg_v2_round(weights, datasets: Sequence[LocalDataset], config: OptimizerConfig) -> np.ndarray:
     """One proximal-averaging round: per-node closed-form minimization of
     ``local loss + (1/eta) ||v - w_i||^2``, then averaging.
 
-    ``grams`` may carry per-node results of :func:`dataset_gram` to avoid
-    recomputing cross-products every round; the output is identical to
-    calling :func:`fedgtv.model_core.proximal_step` directly.
+    All nodes are solved by one stacked :func:`~fedgtv.model_core.proximal_step_gram`
+    call; each node's step, before averaging, is bitwise identical to
+    :func:`fedgtv.model_core.proximal_step` on that node's training split.
     """
     W = _as_stack(weights, datasets)
-    if grams is None:
-        grams = [dataset_gram(ds) for ds in datasets]
-    stepped = np.empty_like(W)
-    for i, (xtx, xty, m) in enumerate(grams):
-        stepped[i] = proximal_step_gram(xtx, xty, m, W[i], config.eta)
-    shared = stepped.mean(axis=0)
+    shared = proximal_step_gram(*_train_grams(datasets), W, config.eta).mean(axis=0)
     return np.tile(shared, (W.shape[0], 1))
 
 
@@ -219,7 +201,6 @@ def train(
         raise ParameterError("fedsgd requires an empirical graph")
     dim = datasets[0].train[0].shape[1]
     W = np.zeros((len(datasets), dim))
-    grams = [dataset_gram(ds) for ds in datasets] if algorithm is Algorithm.FEDAVG2 else None
     trace = TrainingTrace()
     for k in range(config.max_iterations):
         try:
@@ -228,7 +209,7 @@ def train(
             elif algorithm is Algorithm.FEDAVG1:
                 W = fedavg_v1_round(W, datasets, config)
             else:
-                W = fedavg_v2_round(W, datasets, config, grams)
+                W = fedavg_v2_round(W, datasets, config)
         except FedGTVError as exc:
             raise type(exc)(f"round {k}: {exc}") from exc
         if (k + 1) % config.trace_every == 0 or k + 1 == config.max_iterations:

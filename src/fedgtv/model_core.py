@@ -115,34 +115,35 @@ def proximal_step(X, y, w_anchor, eta: float) -> np.ndarray:
     return proximal_step_gram(X.T @ X, X.T @ y, X.shape[0], w_anchor, eta)
 
 
-def proximal_step_gram(xtx, xty, m: int, w_anchor, eta: float) -> np.ndarray:
+def proximal_step_gram(xtx, xty, m, w_anchor, eta: float) -> np.ndarray:
     """:func:`proximal_step` from precomputed ``X^T X``, ``X^T y`` and row count.
 
-    Callers that step repeatedly against a fixed dataset can cache the
-    cross-products; the result is identical to :func:`proximal_step`.
+    Broadcasts over leading axes: ``xtx`` of shape (..., d, d) with ``xty``
+    and ``w_anchor`` of shape (..., d) and ``m`` a scalar or of shape (...)
+    solve every system in one call, and each result is bitwise identical to
+    the corresponding single-system call.
     """
     if eta <= 0:
         raise ParameterError(f"eta must be positive, got {eta}")
-    if m < 1:
+    m = np.asarray(m, dtype=float)
+    if np.any(m < 1):
         raise DegenerateInputError("proximal step is undefined on an empty dataset")
     xtx = np.asarray(xtx, dtype=float)
     xty = np.asarray(xty, dtype=float)
     w_anchor = np.asarray(w_anchor, dtype=float)
-    d = xtx.shape[0]
-    if xtx.shape != (d, d) or xty.shape != (d,) or w_anchor.shape != (d,):
+    d = xtx.shape[-1] if xtx.ndim else 0
+    lead = xtx.shape[:-2]
+    if (
+        xtx.shape != lead + (d, d)
+        or xty.shape != lead + (d,)
+        or w_anchor.shape != lead + (d,)
+        or m.shape not in ((), lead)
+    ):
         raise ShapeError(
             f"inconsistent shapes: xtx {xtx.shape}, xty {xty.shape}, "
-            f"anchor {w_anchor.shape}"
+            f"anchor {w_anchor.shape}, m {m.shape}"
         )
-    lhs = (2.0 / m) * xtx + (2.0 / eta) * np.eye(d)
-    rhs = (2.0 / m) * xty + (2.0 / eta) * w_anchor
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(lhs), rhs)
-
-
-def weight_discrepancy(w_i, w_j) -> float:
-    """Euclidean distance ``||w_i - w_j||`` between two weight vectors."""
-    a = np.asarray(w_i, dtype=float)
-    b = np.asarray(w_j, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"weight vectors differ in shape: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    scale = (2.0 / m)[..., None]
+    lhs = scale[..., None] * xtx + (2.0 / eta) * np.eye(d)
+    rhs = scale * xty + (2.0 / eta) * w_anchor
+    return np.linalg.solve(lhs, rhs[..., None])[..., 0]

@@ -7,7 +7,6 @@ from fedgtv.errors import DegenerateInputError, ParameterError, ShapeError
 from fedgtv.fed_optimizers import (
     Algorithm,
     OptimizerConfig,
-    dataset_gram,
     fedavg_v1_round,
     fedavg_v2_round,
     fedsgd_round,
@@ -155,6 +154,19 @@ class TestFedsgdRound:
         expected = W[0] - 0.05 * mse_gradient(*datasets[0].train, W[0])
         assert np.array_equal(out[0], expected)
 
+    def test_laplacian_coupling_matches_per_edge_sum(self):
+        # zero data gradient isolates the coupling; node 4 has no neighbors
+        datasets = [make_ds(np.zeros((2, 3)), np.zeros(2), i + 1) for i in range(5)]
+        graph = graph_from_edges(5, [(0, 1), (0, 3), (1, 2), (2, 3), (1, 3)])
+        config = OptimizerConfig("fedsgd", eta=0.1, alpha=0.3)
+        rng = np.random.default_rng(8)
+        W = rng.standard_normal((5, 3))
+        out = fedsgd_round(W, datasets, graph, config, round_index=0)
+        for i in range(5):
+            per_edge = 2 * 0.3 * sum(W[i] - W[j] for j in graph.neighbors(i))
+            np.testing.assert_allclose(out[i], W[i] - 0.1 * per_edge, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(out[4], W[4])
+
     def test_empty_train_split_rejected(self):
         empty = make_ds(np.zeros((0, 2)), np.zeros(0), 1)
         other = make_ds(np.eye(2), np.ones(2), 2)
@@ -235,17 +247,6 @@ class TestFedavgV2Round:
         out = fedavg_v2_round(np.tile(w_star, (3, 1)), datasets, config)
         assert np.max(np.abs(out - w_star)) < 1e-10
 
-    def test_cached_grams_match_direct(self):
-        datasets = synthetic_datasets(n=3)
-        config = OptimizerConfig("fedavg2", eta=0.5)
-        rng = np.random.default_rng(6)
-        W = np.tile(rng.standard_normal(3), (3, 1))
-        grams = [dataset_gram(ds) for ds in datasets]
-        assert np.array_equal(
-            fedavg_v2_round(W, datasets, config),
-            fedavg_v2_round(W, datasets, config, grams),
-        )
-
     def test_round_matches_proximal_step(self):
         datasets = synthetic_datasets(n=2)
         config = OptimizerConfig("fedavg2", eta=0.7)
@@ -324,11 +325,14 @@ class TestTrain:
         assert np.array_equal(Wa, Wb)
         assert ta.objective == tb.objective
 
-    def test_round_error_carries_iteration_index(self):
+    @pytest.mark.parametrize("algorithm", ["fedsgd", "fedavg1", "fedavg2"])
+    def test_round_error_carries_iteration_index(self, algorithm):
         empty = make_ds(np.zeros((0, 2)), np.zeros(0), 1)
-        config = OptimizerConfig("fedavg1", eta=0.1)
-        with pytest.raises(DegenerateInputError, match="round 0"):
-            train([empty], None, config)
+        other = make_ds(np.eye(2), np.ones(2), 2)
+        graph = graph_from_edges(2, [(0, 1)])
+        config = OptimizerConfig(algorithm, eta=0.1)
+        with pytest.raises(DegenerateInputError, match="round 0: node 1: empty training split"):
+            train([empty, other], graph, config)
 
     def test_no_datasets(self):
         with pytest.raises(DegenerateInputError):

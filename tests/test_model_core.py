@@ -14,7 +14,6 @@ from fedgtv.model_core import (
     predict,
     proximal_step,
     proximal_step_gram,
-    weight_discrepancy,
 )
 
 
@@ -190,26 +189,20 @@ class TestProximalStep:
         cached = proximal_step_gram(X.T @ X, X.T @ y, 12, anchor, eta=0.7)
         assert np.array_equal(direct, cached)
 
+        # one stacked (n, d, d) call solves each node bitwise as a single call
+        Xs = [rng.standard_normal((m, 4)) for m in (12, 5, 30)]
+        ys = [rng.standard_normal(Xi.shape[0]) for Xi in Xs]
+        anchors = rng.standard_normal((3, 4))
+        per_node = [proximal_step(Xi, yi, a, eta=0.7) for Xi, yi, a in zip(Xs, ys, anchors)]
+        stacked = proximal_step_gram(
+            np.stack([Xi.T @ Xi for Xi in Xs]),
+            np.stack([Xi.T @ yi for Xi, yi in zip(Xs, ys)]),
+            np.array([Xi.shape[0] for Xi in Xs]),
+            anchors,
+            eta=0.7,
+        )
+        assert np.array_equal(stacked, np.array(per_node))
+
     def test_gram_shape_mismatch(self):
         with pytest.raises(ShapeError):
             proximal_step_gram(np.eye(3), np.zeros(2), 5, np.zeros(3), eta=1.0)
-
-
-class TestWeightDiscrepancy:
-    def test_identical_vectors(self):
-        w = np.array([1.0, -2.0, 3.0])
-        assert weight_discrepancy(w, w) == 0.0
-
-    def test_three_four_five(self):
-        assert weight_discrepancy([0.0, 0.0], [3.0, 4.0]) == 5.0
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            a = rng.standard_normal(5)
-            b = rng.standard_normal(5)
-            assert weight_discrepancy(a, b) == weight_discrepancy(b, a)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            weight_discrepancy([1.0, 2.0], [1.0, 2.0, 3.0])
