@@ -53,6 +53,7 @@ from .fed_optimizers import (
     fedsgd_round,
     gtv_objective,
     train,
+    train_cells,
 )
 from .experiment_harness import (
     AlgorithmMetrics,
@@ -130,6 +131,7 @@ __all__ = [
     "fedsgd_round",
     "gtv_objective",
     "train",
+    "train_cells",
     # harness
     "AlgorithmMetrics",
     "ExperimentConfig",

@@ -15,6 +15,8 @@ import hashlib
 import json
 import math
 import platform
+import shutil
+import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -47,7 +49,7 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
-from .fed_optimizers import Algorithm, OptimizerConfig, TrainingTrace, train
+from .fed_optimizers import Algorithm, OptimizerConfig, TrainingTrace, train, train_cells
 from .model_core import mse_loss
 
 ALL_ALGORITHMS = (Algorithm.FEDSGD, Algorithm.FEDAVG1, Algorithm.FEDAVG2)
@@ -284,12 +286,15 @@ def run_grid_search(
 
     fedsgd sweeps alpha x eta x degree; a degree whose union-kNN graph is
     disconnected skips all its (alpha, eta) combinations, each recorded as an
-    untrained cell. The averaging variants sweep eta only. Every candidate
-    trains once, fresh from zeros (no warm starts), and each algorithm's
-    winner keeps its weights, trace and graph in ``trained``. Cells are
-    recorded in degree-major, then alpha, then eta order; selection does not
-    depend on that order. Raises NoFeasibleConfigError when an algorithm has
-    no candidate with a finite validation MSE.
+    untrained cell. The averaging variants sweep eta only. Each algorithm's
+    feasible cells train together in one :func:`train_cells` call, fresh
+    from zeros (no warm starts): every fedsgd (node, round) mini-batch is
+    drawn once and shared by all cells, and each cell's result is bitwise
+    identical to training it alone. Each algorithm's winner keeps its
+    weights, trace and graph in ``trained``. Cells are recorded in
+    degree-major, then alpha, then eta order; selection does not depend on
+    that order. Raises NoFeasibleConfigError when an algorithm has no
+    candidate with a finite validation MSE.
     """
     if len(datasets) == 0:
         raise DegenerateInputError("no datasets to search over")
@@ -297,25 +302,10 @@ def run_grid_search(
     cells: list[GridCell] = []
     best: dict[str, GridCell] = {}
     trained: dict[str, tuple] = {}
-    fits: dict[tuple, tuple] = {}
+    settings = dict(batch_size=batch_size, max_iterations=max_iterations, seed=seed, trace_every=trace_every)
     disc = None
-
-    def fit(algorithm, eta, alpha, degree, graph) -> GridCell:
-        config = OptimizerConfig(
-            algorithm=algorithm,
-            eta=eta,
-            alpha=alpha or 0.0,
-            batch_size=batch_size,
-            max_iterations=max_iterations,
-            seed=seed,
-            trace_every=trace_every,
-        )
-        W, trace = train(datasets, graph, config)
-        fits[algorithm, eta, alpha, degree] = (W, trace, graph)
-        return GridCell(algorithm.value, eta, alpha, degree, True, _mean_val_mse(W, datasets))
-
     for algorithm in grid.algorithms:
-        algo_cells: list[GridCell] = []
+        # (eta, alpha, degree, graph, connected) per cell, in record order
         if algorithm is Algorithm.FEDSGD:
             n = len(datasets)
             bad = [d for d in grid.degrees if not 1 <= d <= n - 1]
@@ -323,23 +313,27 @@ def run_grid_search(
                 raise ParameterError(f"grid degrees {bad} outside [1, {n - 1}]")
             if disc is None:
                 disc = discrepancy_matrix(pretrain_local_weights(datasets))
+            specs = []
             for d in grid.degrees:
                 graph = build_knn_graph(disc, d)
                 connected = is_connected(graph)
-                for alpha in grid.alphas:
-                    for eta in grid.etas:
-                        if connected:
-                            algo_cells.append(fit(algorithm, eta, alpha, d, graph))
-                        else:
-                            algo_cells.append(
-                                GridCell(algorithm.value, eta, alpha, d, False, None)
-                            )
+                specs += [
+                    (eta, alpha, d, graph, connected) for alpha in grid.alphas for eta in grid.etas
+                ]
         else:
-            for eta in grid.etas:
-                algo_cells.append(fit(algorithm, eta, None, None, None))
+            specs = [(eta, None, None, None, True) for eta in grid.etas]
+        live = [s for s in specs if s[4]]
+        configs = [OptimizerConfig(algorithm, eta, alpha or 0.0, **settings) for eta, alpha, *_ in live]
+        W, traces = train_cells(datasets, [s[3] for s in live], configs) if live else ((), ())
+        fits = {s[:3]: (w, trace, s[3]) for s, w, trace in zip(live, W, traces)}
+        val_mse = {key: _mean_val_mse(fit[0], datasets) for key, fit in fits.items()}
+        algo_cells = [
+            GridCell(algorithm.value, eta, alpha, d, connected, val_mse.get((eta, alpha, d)))
+            for eta, alpha, d, _, connected in specs
+        ]
         cells.extend(algo_cells)
         winner = best[algorithm.value] = select_best(algo_cells)
-        trained[algorithm.value] = fits[algorithm, winner.eta, winner.alpha, winner.degree]
+        trained[algorithm.value] = fits[winner.eta, winner.alpha, winner.degree]
     return GridSearchResult(cells=cells, best=best, trained=trained)
 
 
@@ -620,8 +614,10 @@ def run_experiment(
     settings; "grid" runs the hyperparameter search and reports each
     algorithm's winner from the weights and trace the search already trained;
     "graph" only builds and exports the empirical graph.
-    Nothing is written until every computation has succeeded (no partial
-    artifacts), and identical inputs produce byte-identical outputs (the
+    Nothing is written until every computation has succeeded, and the
+    artifacts are written to a sibling staging directory and moved into
+    ``out_dir`` only once all of them are written, so a failure leaves no
+    partial artifacts. Identical inputs produce byte-identical outputs (the
     manifest records versions but no timestamps). Returns a summary dict with
     the report, manifest, and artifact names.
     """
@@ -737,13 +733,20 @@ def run_experiment(
     artifacts["manifest.json"] = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name in sorted(artifacts):
-        (out / name).write_text(artifacts[name], encoding="utf-8")
-    if graph is not None:
-        export_edge_list(graph, out / "graph.edges")
-    if dump_data:
-        dump_preprocessed(datasets, out / "preprocessed")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        for name in sorted(artifacts):
+            (staging / name).write_text(artifacts[name], encoding="utf-8")
+        if graph is not None:
+            export_edge_list(graph, staging / "graph.edges")
+        if dump_data:
+            dump_preprocessed(datasets, staging / "preprocessed")
+        for name in manifest["artifacts"]:
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (staging / name).replace(out / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
     return {
         "out_dir": str(out),

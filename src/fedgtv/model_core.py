@@ -33,9 +33,9 @@ def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _as_weights(X, w) -> np.ndarray:
+def _as_weights(X, w, stacked: bool = False) -> np.ndarray:
     w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.shape[0] != X.shape[1]:
+    if w.ndim == 0 or (w.ndim > 1 and not stacked) or w.shape[-1] != X.shape[1]:
         raise ShapeError(
             f"weight vector of shape {w.shape} does not match "
             f"{X.shape[1]} feature columns"
@@ -63,12 +63,18 @@ def mse_loss(X, y, w) -> float:
 
 
 def mse_gradient(X, y, w) -> np.ndarray:
-    """Gradient of :func:`mse_loss` in w: ``(2/m) * X^T (X w - y)``."""
+    """Gradient of :func:`mse_loss` in w: ``(2/m) * X^T (X w - y)``.
+
+    Broadcasts over leading axes of ``w`` with one matrix-vector product per
+    vector (a matrix product would sum in another order), so each result is
+    bitwise the 1-D call's.
+    """
     X, y = _as_xy(X, y)
-    w = _as_weights(X, w)
+    w = _as_weights(X, w, stacked=True)
     if X.shape[0] == 0:
         raise DegenerateInputError("MSE gradient is undefined on an empty dataset")
-    return (2.0 / X.shape[0]) * (X.T @ (X @ w - y))
+    r = np.matmul(X, w[..., None])[..., 0] - y
+    return (2.0 / X.shape[0]) * np.matmul(X.T, r[..., None])[..., 0]
 
 
 def least_squares_fit(X, y) -> np.ndarray:
@@ -115,15 +121,17 @@ def proximal_step(X, y, w_anchor, eta: float) -> np.ndarray:
     return proximal_step_gram(X.T @ X, X.T @ y, X.shape[0], w_anchor, eta)
 
 
-def proximal_step_gram(xtx, xty, m, w_anchor, eta: float) -> np.ndarray:
+def proximal_step_gram(xtx, xty, m, w_anchor, eta: float | np.ndarray) -> np.ndarray:
     """:func:`proximal_step` from precomputed ``X^T X``, ``X^T y`` and row count.
 
-    Broadcasts over leading axes: ``xtx`` of shape (..., d, d) with ``xty``
-    and ``w_anchor`` of shape (..., d) and ``m`` a scalar or of shape (...)
-    solve every system in one call, and each result is bitwise identical to
-    the corresponding single-system call.
+    Broadcasts over leading axes: ``xtx`` of shape (..., d, d), ``xty`` and
+    ``w_anchor`` of shape (..., d), and ``m`` and ``eta`` scalars or arrays
+    whose leading axes broadcast together solve every system in one call,
+    and each result is bitwise identical to the corresponding single-system
+    call.
     """
-    if eta <= 0:
+    eta = np.asarray(eta, dtype=float)
+    if np.any(eta <= 0):
         raise ParameterError(f"eta must be positive, got {eta}")
     m = np.asarray(m, dtype=float)
     if np.any(m < 1):
@@ -132,18 +140,18 @@ def proximal_step_gram(xtx, xty, m, w_anchor, eta: float) -> np.ndarray:
     xty = np.asarray(xty, dtype=float)
     w_anchor = np.asarray(w_anchor, dtype=float)
     d = xtx.shape[-1] if xtx.ndim else 0
-    lead = xtx.shape[:-2]
-    if (
-        xtx.shape != lead + (d, d)
-        or xty.shape != lead + (d,)
-        or w_anchor.shape != lead + (d,)
-        or m.shape not in ((), lead)
-    ):
+    try:
+        np.broadcast_shapes(xtx.shape[:-2], xty.shape[:-1], w_anchor.shape[:-1], m.shape, eta.shape)
+        consistent = xtx.shape[-2:] == (d, d) and xty.shape[-1:] == w_anchor.shape[-1:] == (d,)
+    except ValueError:
+        consistent = False
+    if not consistent:
         raise ShapeError(
             f"inconsistent shapes: xtx {xtx.shape}, xty {xty.shape}, "
-            f"anchor {w_anchor.shape}, m {m.shape}"
+            f"anchor {w_anchor.shape}, m {m.shape}, eta {eta.shape}"
         )
     scale = (2.0 / m)[..., None]
-    lhs = scale[..., None] * xtx + (2.0 / eta) * np.eye(d)
-    rhs = scale * xty + (2.0 / eta) * w_anchor
+    pull = (2.0 / eta)[..., None]
+    lhs = scale[..., None] * xtx + pull[..., None] * np.eye(d)
+    rhs = scale * xty + pull * w_anchor
     return np.linalg.solve(lhs, rhs[..., None])[..., 0]

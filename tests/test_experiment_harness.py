@@ -1,5 +1,6 @@
 import json
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from fedgtv.experiment_harness import (
     run_grid_search,
     select_best,
 )
+from fedgtv.fed_optimizers import Algorithm, OptimizerConfig, train
 from fedgtv.model_core import least_squares_fit
 
 FIXTURE = Path(__file__).parent / "data" / "los_fixture.csv"
@@ -232,7 +234,61 @@ class TestSelectBest:
             assert select_best(cells[::-1]).eta == 0.01
 
 
+def record_stacked_cells(monkeypatch):
+    """Record (graph, config, W, trace) for every cell the grid trains."""
+    runs = []
+    real = experiment_harness.train_cells
+
+    def recording(datasets, graphs, configs):
+        W, traces = real(datasets, graphs, configs)
+        runs.extend(zip(graphs, configs, W, traces))
+        return W, traces
+
+    monkeypatch.setattr(experiment_harness, "train_cells", recording)
+    return runs
+
+
+def assert_cells_match_solo(datasets, cells, best, runs):
+    """Every stacked cell is bitwise its solo train(); cells and winners are what solo runs give."""
+    solo_val = {}
+    for graph, config, W, trace in runs:
+        W_solo, solo = train(datasets, graph, config)
+        assert np.array_equal(W, W_solo, equal_nan=True)
+        assert trace.rounds == solo.rounds
+        assert np.array_equal(trace.objective, solo.objective, equal_nan=True)
+        assert len(trace.node_losses) == len(solo.node_losses)
+        for a, b in zip(trace.node_losses, solo.node_losses):
+            assert np.array_equal(a, b, equal_nan=True)
+        fedsgd = config.algorithm is Algorithm.FEDSGD
+        key = (
+            config.algorithm.value,
+            config.eta,
+            config.alpha if fedsgd else None,
+            graph.min_degree if fedsgd else None,
+        )
+        solo_val[key] = evaluate(W_solo, datasets).blocks[0].mean_val
+    expected = [
+        replace(c, val_mse=solo_val[c.algorithm, c.eta, c.alpha, c.degree]) if c.connected else c
+        for c in cells
+    ]
+    assert len(solo_val) == sum(c.connected for c in cells)
+    assert repr(cells) == repr(expected)  # repr keeps NaN cells comparable
+    for name in best:
+        assert best[name] == select_best([c for c in expected if c.algorithm == name])
+
+
 class TestRunGridSearch:
+    def test_stacked_cells_match_solo_training(self, monkeypatch):
+        datasets = cluster_datasets()
+        assert all(ds.train[0].shape[0] > 5 for ds in datasets)  # true mini-batches
+        runs = record_stacked_cells(monkeypatch)
+        grid = GridSpec(alphas=(0.1, 1.0), etas=(0.05, 0.01), degrees=(1, 2, 3))
+        result = run_grid_search(datasets, grid, batch_size=5, max_iterations=30, trace_every=7)
+        connected = {c.degree for c in result.cells if c.algorithm == "fedsgd" and c.connected}
+        assert connected == {2, 3}
+        assert len(runs) == 2 * 2 * 2 + 2 + 2
+        assert_cells_match_solo(datasets, result.cells, result.best, runs)
+
     def test_cell_accounting_and_disconnected_recording(self):
         datasets = cluster_datasets()
         grid = GridSpec(alphas=(0.1, 1.0), etas=(0.05, 0.01), degrees=(1, 2))
@@ -474,18 +530,29 @@ class TestRunExperiment:
     def test_grid_mode_trains_each_cell_once(self, tmp_path, monkeypatch):
         calls = []
 
-        def counting_train(datasets, graph, config):
-            calls.append((config, None if graph is None else graph.min_degree))
-            return real_train(datasets, graph, config)
+        def counting_train_cells(datasets, graphs, configs):
+            calls.append(
+                [(c, None if g is None else g.min_degree) for g, c in zip(graphs, configs)]
+            )
+            return real_train_cells(datasets, graphs, configs)
 
-        real_train = experiment_harness.train
-        monkeypatch.setattr(experiment_harness, "train", counting_train)
+        def no_retrain(*args, **kwargs):
+            raise AssertionError("grid mode retrained a cell")
+
+        real_train_cells = experiment_harness.train_cells
+        monkeypatch.setattr(experiment_harness, "train_cells", counting_train_cells)
+        monkeypatch.setattr(experiment_harness, "train", no_retrain)
         result = run_experiment(synthetic_config(tmp_path), tmp_path / "out", mode="grid")
         trained_cells = [
             row for row in (tmp_path / "out" / "grid.csv").read_text().split("\n")[1:]
             if row and not row.endswith(",")
         ]
-        assert len(calls) == len(set(calls)) == len(trained_cells)
+        # one stacked call per algorithm, and every trained cell in exactly one of them
+        assert [{c.algorithm for c, _ in call} for call in calls] == [
+            {Algorithm.FEDSGD}, {Algorithm.FEDAVG1}, {Algorithm.FEDAVG2}
+        ]
+        cells = [cell for call in calls for cell in call]
+        assert len(cells) == len(set(cells)) == len(trained_cells)
         selected = result["manifest"]["selected"]
         for block in result["report"].blocks:
             assert block.mean_val == selected[block.algorithm]["val_mse"]
@@ -549,6 +616,65 @@ class TestRunExperiment:
         cfg = write_config(tmp_path, "[optimizer]\neta = 0.1\n")
         with pytest.raises(ConfigError):
             run_experiment(cfg, tmp_path / "out", mode="run")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_cell_stays_isolated(self, tmp_path, monkeypatch):
+        write_spec(tmp_path)
+        cfg = write_config(
+            tmp_path,
+            """\
+            [data]
+            synthetic = spec.json
+
+            [optimizer]
+            batch_size = 5
+            max_iterations = 40
+            trace_every = 10
+
+            [grid]
+            alphas = 0.1, 1.0
+            etas = 0.05, 1e9, 0.01
+            degrees = 2, 3
+            algorithms = fedsgd, fedavg1
+            """,
+        )
+        runs = record_stacked_cells(monkeypatch)
+        result = run_experiment(cfg, tmp_path / "out", mode="grid")
+        rows = (tmp_path / "out" / "grid.csv").read_text().strip().split("\n")[1:]
+        diverged = [row for row in rows if ",1e+09," in row]
+        assert len(diverged) == 2 * 2 + 1
+        assert all(row.rsplit(",", 1)[1] in ("nan", "inf") for row in diverged)
+        assert all(cell["eta"] != 1e9 for cell in result["manifest"]["selected"].values())
+        datasets = generate_synthetic(load_synthetic_spec(tmp_path / "spec.json"))
+        cells = [
+            GridCell(algo, float(eta), float(alpha) if alpha else None,
+                     int(degree) if degree else None, connected == "1", float(val) if val else None)
+            for algo, alpha, eta, degree, connected, val in (row.split(",") for row in rows)
+        ]
+        best = {name: GridCell(**cell) for name, cell in result["manifest"]["selected"].items()}
+        assert_cells_match_solo(datasets, cells, best, runs)
+
+    def test_failed_write_leaves_out_dir_untouched(self, tmp_path, monkeypatch):
+        def failing_export(graph, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(experiment_harness, "export_edge_list", failing_export)
+        out = tmp_path / "runs" / "out"
+        out.mkdir(parents=True)
+        (out / "keep.txt").write_text("earlier run")
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(synthetic_config(tmp_path), out, mode="run", dump_data=True)
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert [p.name for p in out.parent.iterdir()] == ["out"]  # staging removed
+
+    def test_rerun_replaces_artifacts(self, tmp_path):
+        cfg = synthetic_config(tmp_path)
+        out = tmp_path / "out"
+        run_experiment(cfg, out, mode="run", dump_data=True)
+        first = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        run_experiment(cfg, out, mode="run", dump_data=True)
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "out", "spec.json"]
 
     def test_failure_leaves_no_partial_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, "[data]\ncsv = missing.csv\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fedgtv.fed_optimizers import (
     fedsgd_round,
     gtv_objective,
     train,
+    train_cells,
 )
 from fedgtv.model_core import least_squares_fit, mse_gradient, mse_loss, proximal_step
 
@@ -255,6 +258,54 @@ class TestFedavgV2Round:
         out = fedavg_v2_round(W, datasets, config)
         stepped = np.array([proximal_step(*ds.train, W[i], 0.7) for i, ds in enumerate(datasets)])
         assert np.array_equal(out[0], stepped.mean(axis=0))
+
+
+class TestStackedCells:
+    def test_rounds_match_single_config_calls(self):
+        datasets = synthetic_datasets(rows=40)
+        graphs = [graph_from_edges(3, [(0, 1), (1, 2)]), graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])]
+        rng = np.random.default_rng(9)
+        W = rng.standard_normal((4, 3, 3))
+        for algorithm in ("fedsgd", "fedavg1", "fedavg2"):
+            configs = [
+                OptimizerConfig(algorithm, eta=eta, alpha=alpha, batch_size=6, seed=3)
+                for eta, alpha in ((0.01, 0.1), (0.05, 0.1), (0.01, 1.0), (0.2, 0.5))
+            ]
+            cell_graphs = [graphs[c % 2] for c in range(4)]
+            if algorithm == "fedsgd":
+                laplacians = np.stack([g.laplacian() for g in cell_graphs])
+                out = fedsgd_round(W, datasets, laplacians, configs, round_index=5)
+                solo = [fedsgd_round(W[c], datasets, cell_graphs[c], configs[c], 5) for c in range(4)]
+            else:
+                step = fedavg_v1_round if algorithm == "fedavg1" else fedavg_v2_round
+                out = step(W, datasets, configs)
+                solo = [step(W[c], datasets, configs[c]) for c in range(4)]
+            assert out.shape == W.shape
+            assert np.array_equal(out, np.array(solo))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("algorithm", "fedavg1"), ("batch_size", 7), ("seed", 1), ("max_iterations", 9), ("trace_every", 3)],
+    )
+    def test_cells_must_share_settings(self, field, value):
+        datasets = synthetic_datasets()
+        graph = graph_from_edges(3, [(0, 1), (1, 2)])
+        base = OptimizerConfig("fedsgd", eta=0.01, alpha=0.1, max_iterations=5)
+        other = replace(base, eta=0.05, **{field: value})
+        with pytest.raises(ParameterError, match="differ only in eta and alpha"):
+            train_cells(datasets, [graph, graph], [base, other])
+        with pytest.raises(ParameterError, match="differ only in eta and alpha"):
+            fedsgd_round(np.zeros((2, 3, 3)), datasets, graph, [base, other], round_index=0)
+
+    def test_stack_shape_checked(self):
+        datasets = synthetic_datasets()
+        configs = [OptimizerConfig("fedavg1", eta=0.1)] * 2
+        with pytest.raises(ShapeError):
+            fedavg_v1_round(np.zeros((3, 3, 3)), datasets, configs)
+        with pytest.raises(ParameterError):
+            train_cells(datasets, [None], configs)
+        with pytest.raises(ParameterError):
+            train_cells(datasets, [], [])
 
 
 class TestTrain:

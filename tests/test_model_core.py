@@ -89,6 +89,24 @@ class TestMseGradient:
     def test_hand_value(self):
         assert np.array_equal(mse_gradient([[1.0]], [0.0], [3.0]), [6.0])
 
+    def test_broadcasts_bitwise_over_leading_axes(self):
+        rng = np.random.default_rng(12)
+        for m, d in ((1, 1), (7, 3), (512, 19), (2000, 40)):
+            X = rng.standard_normal((m, d))
+            y = rng.standard_normal(m)
+            W = rng.standard_normal((3, 5, d))
+            for stack in (W[0], W, W[:, 2]):  # (C, d), (A, B, d), non-contiguous slice
+                out = mse_gradient(X, y, stack)
+                assert out.shape == stack.shape
+                for idx in np.ndindex(stack.shape[:-1]):
+                    assert np.array_equal(out[idx], mse_gradient(X, y, stack[idx]))
+
+    def test_stack_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            mse_gradient(np.eye(2), [1.0, 2.0], np.zeros((4, 3)))
+        with pytest.raises(ShapeError):
+            mse_gradient(np.eye(2), [1.0, 2.0], 0.0)
+
     def test_zero_at_least_squares_solution(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((30, 4))
@@ -203,6 +221,21 @@ class TestProximalStep:
         )
         assert np.array_equal(stacked, np.array(per_node))
 
+        # a (cells, n) stack of anchors with one eta per cell broadcasts the same way
+        anchors = rng.standard_normal((2, 3, 4))
+        grams = (
+            np.stack([Xi.T @ Xi for Xi in Xs]),
+            np.stack([Xi.T @ yi for Xi, yi in zip(Xs, ys)]),
+            np.array([Xi.shape[0] for Xi in Xs]),
+        )
+        cells = proximal_step_gram(*grams, anchors, np.array([[0.7], [3.0]]))
+        for c, eta in enumerate((0.7, 3.0)):
+            assert np.array_equal(cells[c], proximal_step_gram(*grams, anchors[c], eta))
+        with pytest.raises(ParameterError):
+            proximal_step_gram(*grams, anchors, np.array([[0.7], [0.0]]))
+
     def test_gram_shape_mismatch(self):
         with pytest.raises(ShapeError):
             proximal_step_gram(np.eye(3), np.zeros(2), 5, np.zeros(3), eta=1.0)
+        with pytest.raises(ShapeError):
+            proximal_step_gram(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), 5, np.zeros((3, 3)), eta=1.0)
