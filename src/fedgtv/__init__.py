@@ -11,7 +11,6 @@ from .data_pipeline import (
     FEATURE_DIM,
     FEATURE_NAMES,
     LocalDataset,
-    RawRecord,
     SyntheticSpec,
     dump_preprocessed,
     engineer_features,
@@ -41,7 +40,6 @@ from .errors import (
     ParameterError,
     SchemaError,
     ShapeError,
-    SingularSystemError,
     SplitError,
 )
 from .fed_optimizers import (
@@ -73,7 +71,6 @@ from .model_core import (
     least_squares_fit,
     mse_gradient,
     mse_loss,
-    predict,
     proximal_step,
     proximal_step_gram,
 )
@@ -91,14 +88,12 @@ __all__ = [
     "ParameterError",
     "SchemaError",
     "ShapeError",
-    "SingularSystemError",
     "SplitError",
     # data pipeline
     "CsvSchema",
     "FEATURE_DIM",
     "FEATURE_NAMES",
     "LocalDataset",
-    "RawRecord",
     "SyntheticSpec",
     "dump_preprocessed",
     "engineer_features",
@@ -111,7 +106,6 @@ __all__ = [
     "least_squares_fit",
     "mse_gradient",
     "mse_loss",
-    "predict",
     "proximal_step",
     "proximal_step_gram",
     # empirical graph

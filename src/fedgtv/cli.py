@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 configuration error (bad config file, bad
 hyperparameters), 3 data error (missing/unreadable/degenerate input files),
-4 training/numerics error (singular systems, disconnected search space).
+4 training/numerics error (degenerate inputs, disconnected search space).
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .errors import (
     ParameterError,
     SchemaError,
     ShapeError,
-    SingularSystemError,
     SplitError,
 )
 from .experiment_harness import run_experiment
@@ -39,7 +38,6 @@ _DATA_ERRORS = (
     UnicodeDecodeError,
 )
 _TRAINING_ERRORS = (
-    SingularSystemError,
     DegenerateInputError,
     DegenerateGraphError,
     ShapeError,

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -39,6 +41,10 @@ from .errors import (
 )
 
 RCOUNT_CATEGORIES = ("0", "1", "2", "3", "4", "5+")
+RCOUNT_SLOT = {c: float(i) for i, c in enumerate(RCOUNT_CATEGORIES)}
+GENDER_VALUE = {"M": 1.0, "F": 0.0}
+# float() of a binary flag to its feature value; a flag written -0 becomes +0.0.
+FLAG_VALUE = {0.0: 0.0, 1.0: 1.0}
 
 NUMERIC_FIELDS = (
     "hematocrit",
@@ -81,27 +87,6 @@ FEATURE_DIM = len(FEATURE_NAMES)  # 19
 
 # Column indices of the nine z-scored clinical measurements.
 NUMERIC_COLUMNS = np.arange(8, 17)
-
-
-@dataclass(frozen=True, slots=True)
-class RawRecord:
-    """One validated row of the raw CSV."""
-
-    rcount: str
-    gender: str
-    hemo: int
-    hematocrit: float
-    neutrophils: float
-    sodium: float
-    glucose: float
-    bloodureanitro: float
-    creatinine: float
-    bmi: float
-    pulse: float
-    respiration: float
-    condition_flags: tuple[int, ...]
-    lengthofstay: int
-    facid: str
 
 
 @dataclass(frozen=True)
@@ -169,106 +154,75 @@ class LocalDataset:
         return X.T @ X, X.T @ y, X.shape[0]
 
 
-def _parse_flag(text: str) -> int:
-    v = float(text)
-    if v == 0.0:
-        return 0
-    if v == 1.0:
-        return 1
-    raise ValueError(f"not a binary flag: {text!r}")
+def load_csv(path, schema: CsvSchema | None = None) -> tuple[dict[str, np.ndarray], int]:
+    """Read the raw CSV in one streaming pass and group the valid rows by facility id.
 
-
-def _required(row: Mapping[str, str | None], column: str) -> str:
-    value = row.get(column)
-    if value is None:
-        raise ValueError(f"missing {column}")
-    value = value.strip()
-    if not value:
-        raise ValueError(f"empty {column}")
-    return value
-
-
-def _parse_record(row: Mapping[str, str | None], schema: CsvSchema) -> RawRecord | None:
-    """Parse one CSV row; None if any required field is missing or malformed."""
-    try:
-        rcount = _required(row, schema.physical("rcount"))
-        if rcount not in RCOUNT_CATEGORIES:
-            return None
-        gender = _required(row, schema.physical("gender")).upper()
-        if gender not in ("M", "F"):
-            return None
-        hemo = _parse_flag(_required(row, schema.physical("hemo")))
-        numerics = []
-        for name in NUMERIC_FIELDS:
-            v = float(_required(row, schema.physical(name)))
-            if not math.isfinite(v):
-                return None
-            numerics.append(v)
-        flags = tuple(_parse_flag(_required(row, c)) for c in schema.condition_columns)
-        los = float(_required(row, schema.physical("lengthofstay")))
-        if not los.is_integer() or los < 1:
-            return None
-        facid = _required(row, schema.physical("facid"))
-    except ValueError:
-        return None
-    return RawRecord(rcount, gender, hemo, *numerics, flags, int(los), facid)
-
-
-def load_csv(path, schema: CsvSchema | None = None) -> tuple[dict[str, list[RawRecord]], int]:
-    """Read the raw CSV and group the parseable records by facility id.
-
-    Returns ``(groups, dropped)`` where ``groups`` maps each distinct
-    facility id, in sorted order, to its records, and ``dropped`` counts the
-    rows discarded because a required field was missing or unparseable.
+    Returns ``(blocks, dropped)``. ``blocks`` maps each distinct facility id,
+    in sorted order, to an (m, 14) float block with one row per kept record,
+    in file order: the rcount slot (0..5), gender (M=1), hemo, the nine
+    numeric measurements, n_conditions and the length of stay. ``dropped``
+    counts the rows discarded because a required field was missing or
+    malformed (see the README's CSV format for the exact rules); blank lines
+    are skipped and not counted.
     """
     schema = schema or CsvSchema()
     path = Path(path)
-    groups: dict[str, list[RawRecord]] = {}
+    blocks: dict[str, array] = {}
     dropped = 0
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for column in schema.required_physical_columns():
             if column not in header:
                 raise SchemaError(f"required column {column!r} missing from header of {path}")
+        index = {name: i for i, name in enumerate(header)}  # a repeated name resolves to its last column
+        logical = ("facid", "rcount", "gender", "hemo", "lengthofstay") + NUMERIC_FIELDS
+        pick = itemgetter(
+            *(index[schema.physical(f)] for f in logical),
+            *(index[c] for c in schema.condition_columns),
+        )
         for row in reader:
-            record = _parse_record(row, schema)
-            if record is None:
+            if not row:
+                continue
+            try:
+                facid, rcount, gender, *texts = map(str.strip, pick(row))
+                hemo, los, *values = map(float, texts)  # the nine numerics, then the flags
+                record = (
+                    RCOUNT_SLOT[rcount],
+                    GENDER_VALUE[gender.upper()],
+                    FLAG_VALUE[hemo],
+                    *values[:9],
+                    sum(map(FLAG_VALUE.__getitem__, values[9:])),
+                    los,
+                )
+            except (IndexError, KeyError, ValueError):
                 dropped += 1
-            else:
-                groups.setdefault(record.facid, []).append(record)
-    if not groups:
+                continue
+            if not (facid and los >= 1 and los.is_integer() and all(map(math.isfinite, values[:9]))):
+                dropped += 1
+                continue
+            block = blocks.get(facid)
+            if block is None:
+                block = blocks[facid] = array("d")
+            block.extend(record)
+    if not blocks:
         raise EmptyInputError(f"no parseable data rows in {path}")
-    return {facid: groups[facid] for facid in sorted(groups)}, dropped
+    return {facid: np.frombuffer(blocks[facid]).reshape(-1, 14) for facid in sorted(blocks)}, dropped
 
 
-def engineer_features(records: Sequence[RawRecord]) -> tuple[np.ndarray, np.ndarray]:
+def engineer_features(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Build the unnormalized feature matrix and label vector for one node.
 
-    Row layout follows :data:`FEATURE_NAMES`; labels are the raw
-    length-of-stay values as floats.
+    ``block`` is one facility's (m, 14) block from :func:`load_csv`. Row
+    layout follows :data:`FEATURE_NAMES`; labels are the length-of-stay
+    values.
     """
-    X = np.zeros((len(records), FEATURE_DIM))
-    y = np.empty(len(records))
-    for r, rec in enumerate(records):
-        X[r, RCOUNT_CATEGORIES.index(rec.rcount)] = 1.0
-        X[r, 6] = 1.0 if rec.gender == "M" else 0.0
-        X[r, 7] = rec.hemo
-        X[r, 8:17] = (
-            rec.hematocrit,
-            rec.neutrophils,
-            rec.sodium,
-            rec.glucose,
-            rec.bloodureanitro,
-            rec.creatinine,
-            rec.bmi,
-            rec.pulse,
-            rec.respiration,
-        )
-        X[r, 17] = sum(rec.condition_flags)
-        X[r, 18] = 1.0
-        y[r] = rec.lengthofstay
-    return X, y
+    m = block.shape[0]
+    X = np.zeros((m, FEATURE_DIM))
+    X[np.arange(m), block[:, 0].astype(int)] = 1.0
+    X[:, 6:18] = block[:, 1:13]
+    X[:, 18] = 1.0
+    return X, block[:, 13].copy()
 
 
 def split_dataset(rows, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,11 +293,11 @@ def load_preprocessed(path, schema: CsvSchema | None = None, seed: int = 42) -> 
     Nodes are numbered 1..n by sorted facility id. Every node is split with
     the same seed. Returns ``(datasets, dropped_row_count)``.
     """
-    groups, dropped = load_csv(path, schema)
+    blocks, dropped = load_csv(path, schema)
     datasets = []
-    for node_id, (facid, records) in enumerate(groups.items(), start=1):
-        X, y = engineer_features(records)
-        tr, va, te = split_dataset(len(records), seed)
+    for node_id, (facid, block) in enumerate(blocks.items(), start=1):
+        X, y = engineer_features(block)
+        tr, va, te = split_dataset(len(block), seed)
         dataset = LocalDataset(
             node_id=node_id,
             train=(X[tr], y[tr]),

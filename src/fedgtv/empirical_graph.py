@@ -1,8 +1,9 @@
 """Empirical graph over nodes, built from locally pretrained weight vectors.
 
-Each node fits its own training split by exact least squares without sharing
-data; the fitted weight vectors act as compact dataset representations, and
-pairwise Euclidean distances between them rank neighbor candidates.
+Each node fits its own training split by minimum-norm least squares without
+sharing data; the fitted weight vectors act as compact dataset
+representations, and pairwise Euclidean distances between them rank neighbor
+candidates.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .data_pipeline import LocalDataset
-from .errors import DegenerateGraphError, ParameterError, ShapeError, SingularSystemError
+from .errors import DegenerateGraphError, DegenerateInputError, ParameterError, ShapeError
 from .model_core import least_squares_fit
 
 
@@ -64,19 +65,19 @@ class EmpiricalGraph:
 
 
 def pretrain_local_weights(datasets: Sequence[LocalDataset]) -> np.ndarray:
-    """Fit every node's training split by exact least squares, independently.
+    """Fit every node's training split by minimum-norm least squares, independently.
 
     Returns the (n, d) stack of fitted weight vectors. No information crosses
-    nodes. Raises SingularSystemError naming the offending node when a local
-    fit is not solvable.
+    nodes. Raises DegenerateInputError naming the offending node when a
+    training split is empty or not finite.
     """
     weights = []
     for ds in datasets:
         X, y = ds.train
         try:
             weights.append(least_squares_fit(X, y))
-        except SingularSystemError as exc:
-            raise SingularSystemError(f"node {ds.node_id}: {exc}") from exc
+        except DegenerateInputError as exc:
+            raise DegenerateInputError(f"node {ds.node_id}: {exc}") from exc
     return np.array(weights)
 
 

@@ -33,10 +33,6 @@ class DegenerateGraphError(FedGTVError):
     """Fewer than two nodes; no graph can be built."""
 
 
-class SingularSystemError(FedGTVError):
-    """Normal equations are rank deficient or too ill-conditioned to solve."""
-
-
 class ParameterError(FedGTVError):
     """A hyperparameter or argument is outside its legal range."""
 

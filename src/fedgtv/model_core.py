@@ -7,18 +7,8 @@ vectors of shape (d,).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    DegenerateInputError,
-    ParameterError,
-    ShapeError,
-    SingularSystemError,
-)
-
-# Normal-equation solves are rejected beyond this condition number; past it
-# the solution is numerically meaningless at double precision.
-CONDITION_LIMIT = 1e12
+from .errors import DegenerateInputError, ParameterError, ShapeError
 
 
 def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -41,15 +31,6 @@ def _as_weights(X, w, stacked: bool = False) -> np.ndarray:
             f"{X.shape[1]} feature columns"
         )
     return w
-
-
-def predict(X, w) -> np.ndarray:
-    """Linear prediction ``X @ w``."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ShapeError(f"expected 2-D feature matrix, got shape {X.shape}")
-    w = _as_weights(X, w)
-    return X @ w
 
 
 def mse_loss(X, y, w) -> float:
@@ -78,30 +59,18 @@ def mse_gradient(X, y, w) -> np.ndarray:
 
 
 def least_squares_fit(X, y) -> np.ndarray:
-    """Exact minimizer of :func:`mse_loss` via the normal equations.
+    """Minimum-norm minimizer of :func:`mse_loss`: ``np.linalg.lstsq``.
 
-    Solves ``(X^T X) w = X^T y`` with a Cholesky factorization. The solve
-    is rejected when ``cond(X^T X)`` exceeds :data:`CONDITION_LIMIT` or the
-    system is not positive definite.
+    Unique even when ``X`` is rank deficient (the 19-column layout always
+    is: the one-hot rcount slots sum to the intercept column), where it
+    equals ``pinv(X) @ y``. Empty or non-finite input is rejected.
     """
     X, y = _as_xy(X, y)
-    m, d = X.shape
-    if m < d:
-        raise SingularSystemError(
-            f"underdetermined system: {m} rows for {d} feature columns"
-        )
-    xtx = X.T @ X
-    cond = np.linalg.cond(xtx)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularSystemError(
-            f"cond(X^T X) = {cond:.3e} exceeds {CONDITION_LIMIT:.1e}; "
-            "system is rank deficient or too ill-conditioned"
-        )
-    try:
-        factor = scipy.linalg.cho_factor(xtx)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"normal equations not positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, X.T @ y)
+    if X.shape[0] == 0:
+        raise DegenerateInputError("least squares is undefined on an empty dataset")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise DegenerateInputError("least squares input is not finite")
+    return np.linalg.lstsq(X, y, rcond=None)[0]
 
 
 def proximal_step(X, y, w_anchor, eta: float) -> np.ndarray:

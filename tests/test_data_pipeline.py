@@ -9,7 +9,6 @@ from fedgtv.data_pipeline import (
     FEATURE_NAMES,
     LocalDataset,
     NUMERIC_COLUMNS,
-    RawRecord,
     SyntheticSpec,
     dump_preprocessed,
     engineer_features,
@@ -29,28 +28,89 @@ from fedgtv.errors import (
 from fedgtv.model_core import least_squares_fit
 
 FIXTURE = Path(__file__).parent / "data" / "los_fixture.csv"
+HEADER = FIXTURE.read_text().split("\n", 1)[0].split(",")
 
 
-def make_record(**overrides):
-    base = dict(
+def make_row(**overrides):
+    """One valid CSV row under HEADER, as field texts; overrides name columns."""
+    base = dict.fromkeys(HEADER, "0")
+    base.update(
+        eid="1",
+        vdate="1/1/2012",
         rcount="0",
         gender="F",
-        hemo=0,
-        hematocrit=11.0,
-        neutrophils=9.0,
-        sodium=135.0,
-        glucose=100.0,
-        bloodureanitro=10.0,
-        creatinine=1.0,
-        bmi=25.0,
-        pulse=70.0,
-        respiration=6.0,
-        condition_flags=(0,) * 10,
-        lengthofstay=3,
+        hematocrit="11.0",
+        neutrophils="9.0",
+        sodium="135.0",
+        glucose="100.0",
+        bloodureanitro="10.0",
+        creatinine="1.0",
+        bmi="25.0",
+        pulse="70.0",
+        respiration="6.0",
+        lengthofstay="3",
         facid="X",
     )
     base.update(overrides)
-    return RawRecord(**base)
+    return [base[name] for name in HEADER]
+
+
+def load_rows(tmp_path, *rows, header=HEADER):
+    """load_csv on CSV text written from ``header`` and ``rows`` (lists of field texts)."""
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join(",".join(fields) for fields in [header, *rows]) + "\n", encoding="utf-8")
+    return load_csv(path)
+
+
+def same_float(a, b):
+    """Equal as IEEE doubles, so -0.0 and 0.0 differ."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+DROPPED, SKIPPED = "dropped", "skipped"
+
+# (case, extra header columns -> their text in the control row, case row, outcome).
+# A kept row's outcome maps block columns to their exact values: 0 rcount slot,
+# 1 gender, 2 hemo, 3..11 numerics (5 = sodium, 6 = glucose), 12 n_conditions,
+# 13 length of stay.
+DROP_RULES = [
+    ("valid", {}, make_row(), {0: 0.0, 1: 0.0, 2: 0.0, 3: 11.0, 12: 0.0, 13: 3.0}),
+    ("rcount_stripped", {}, make_row(rcount=" 5+ "), {0: 5.0}),
+    ("rcount_unknown", {}, make_row(rcount="6"), DROPPED),
+    ("rcount_empty", {}, make_row(rcount=""), DROPPED),
+    ("gender_stripped_upper_cased", {}, make_row(gender=" m "), {1: 1.0}),
+    ("gender_unknown", {}, make_row(gender="U"), DROPPED),
+    ("numeric_underscore", {}, make_row(sodium="1_0"), {5: 10.0}),
+    ("numeric_padded_exponent", {}, make_row(sodium=" 1e0 "), {5: 1.0}),
+    ("numeric_str_strip_whitespace", {}, make_row(sodium="\x1f2\x1f"), {5: 2.0}),
+    ("numeric_negative_zero_kept", {}, make_row(sodium="-0"), {5: -0.0}),
+    ("numeric_blank", {}, make_row(sodium=" "), DROPPED),
+    ("numeric_text", {}, make_row(glucose="n/a"), DROPPED),
+    ("numeric_nan", {}, make_row(glucose="nan"), DROPPED),
+    ("numeric_infinite", {}, make_row(glucose="-inf"), DROPPED),
+    ("numeric_overflow", {}, make_row(glucose="1e400"), DROPPED),
+    ("hemo_written_1.0", {}, make_row(hemo="1.0"), {2: 1.0}),
+    ("hemo_negative_zero", {}, make_row(hemo="-0"), {2: 0.0}),
+    ("hemo_not_binary", {}, make_row(hemo="2"), DROPPED),
+    ("hemo_nan", {}, make_row(hemo="nan"), DROPPED),
+    ("flag_written_1e0", {}, make_row(asthma="1e0"), {12: 1.0}),
+    ("flag_negative_zero", {}, make_row(asthma="-0"), {12: 0.0}),
+    ("flag_not_binary", {}, make_row(asthma="0.5"), DROPPED),
+    ("los_written_4.0", {}, make_row(lengthofstay=" 4.0 "), {13: 4.0}),
+    ("los_fractional", {}, make_row(lengthofstay="2.5"), DROPPED),
+    ("los_zero", {}, make_row(lengthofstay="0"), DROPPED),
+    ("los_infinite", {}, make_row(lengthofstay="inf"), DROPPED),
+    ("facid_stripped", {}, make_row(facid=" X "), {}),
+    ("facid_blank", {}, make_row(facid=" "), DROPPED),
+    ("row_longer_than_header", {}, make_row() + ["extra"], {}),
+    ("short_row_holding_required_columns", {"note": "n"}, make_row(), {}),
+    ("short_row_missing_required_column", {}, make_row()[:-1], DROPPED),
+    ("repeated_header_last_column_wins", {"gender": "F"}, make_row(gender="Q") + ["M"], {1: 1.0}),
+    ("repeated_header_last_column_invalid", {"gender": "F"}, make_row(gender="M") + ["Q"], DROPPED),
+    ("repeated_header_last_column_missing", {"gender": "F"}, make_row(gender="M"), DROPPED),
+    ("blank_line", {}, [], SKIPPED),
+    ("whitespace_only_line", {}, ["   "], DROPPED),
+]
 
 
 class TestLoadCsv:
@@ -62,14 +122,13 @@ class TestLoadCsv:
 
     def test_fixture_record_contents(self):
         groups, _ = load_csv(FIXTURE)
-        first = groups["A"][0]
-        assert first.rcount == "0"
-        assert first.gender == "F"
-        assert first.hemo == 0
-        assert first.hematocrit == 11.1
-        assert first.lengthofstay == 3
-        assert sum(groups["A"][1].condition_flags) == 1  # the "5+" row
-        assert [r.lengthofstay for r in groups["B"]] == [5, 2, 6, 7]
+        assert groups["A"].shape == (5, 14)
+        rcount, gender, hemo, hematocrit, *_ = groups["A"][0]
+        assert (rcount, gender, hemo, hematocrit) == (0.0, 0.0, 0.0, 11.1)
+        assert groups["A"][0, 13] == 3.0  # length of stay
+        assert groups["A"][1, 0] == 5.0  # the "5+" slot
+        assert groups["A"][1, 12] == 1.0  # its one condition flag
+        assert groups["B"][:, 13].tolist() == [5.0, 2.0, 6.0, 7.0]
 
     def test_missing_required_column(self, tmp_path):
         text = FIXTURE.read_text()
@@ -120,6 +179,23 @@ class TestLoadCsv:
         assert dropped == 2
         assert sum(len(g) for g in groups.values()) == 3
 
+    @pytest.mark.parametrize(
+        "extra, row, outcome", [pytest.param(*case[1:], id=case[0]) for case in DROP_RULES]
+    )
+    def test_drop_rules(self, tmp_path, extra, row, outcome):
+        control = make_row(facid="Z") + list(extra.values())
+        groups, dropped = load_rows(tmp_path, row, control, header=HEADER + list(extra))
+        assert groups["Z"].shape == (1, 14)
+        if outcome in (DROPPED, SKIPPED):
+            assert list(groups) == ["Z"]
+            assert dropped == (outcome == DROPPED)
+            return
+        assert list(groups) == ["X", "Z"] and dropped == 0
+        kept = groups["X"]
+        assert kept.shape == (1, 14)
+        for column, value in outcome.items():
+            assert same_float(kept[0, column], value), (column, kept[0, column], value)
+
 
 class TestCsvSchema:
     def test_unknown_logical_field(self):
@@ -139,12 +215,13 @@ class TestCsvSchema:
 
 
 class TestEngineerFeatures:
-    def test_layout(self):
-        rec = make_record(
-            rcount="5+", gender="M", hemo=1, condition_flags=(1, 0, 1, 1, 0, 0, 0, 0, 0, 0),
-            lengthofstay=7,
+    def test_layout(self, tmp_path):
+        row = make_row(
+            rcount="5+", gender="M", hemo="1", dialysisrenalendstage="1", irondef="1", pneum="1",
+            lengthofstay="7",
         )
-        X, y = engineer_features([rec])
+        groups, _ = load_rows(tmp_path, row)
+        X, y = engineer_features(groups["X"])
         assert X.shape == (1, FEATURE_DIM)
         assert X[0, :6].tolist() == [0, 0, 0, 0, 0, 1]
         assert X[0, 6] == 1.0  # gender M
@@ -154,8 +231,9 @@ class TestEngineerFeatures:
         assert X[0, 18] == 1.0  # intercept
         assert y[0] == 7.0
 
-    def test_zero_condition_flags(self):
-        X, _ = engineer_features([make_record()])
+    def test_zero_condition_flags(self, tmp_path):
+        groups, _ = load_rows(tmp_path, make_row())
+        X, _ = engineer_features(groups["X"])
         assert X[0, 17] == 0.0
 
     def test_one_hot_validity_on_fixture(self):

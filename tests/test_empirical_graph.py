@@ -13,9 +13,9 @@ from fedgtv.empirical_graph import (
 )
 from fedgtv.errors import (
     DegenerateGraphError,
+    DegenerateInputError,
     ParameterError,
     ShapeError,
-    SingularSystemError,
 )
 
 
@@ -187,18 +187,23 @@ class TestPretrainLocalWeights:
 
     def test_singular_node_identified(self):
         datasets, _ = cluster_datasets()
-        ds = datasets[1]
-        X = ds.train[0].copy()
-        X[:, 0] = X[:, 1]  # duplicate column: rank deficient
-        bad = type(ds)(
-            node_id=ds.node_id,
-            train=(X, ds.train[1]),
-            val=ds.val,
-            test=ds.test,
-            numeric_columns=ds.numeric_columns,
-        )
-        with pytest.raises(SingularSystemError, match="node 2"):
-            pretrain_local_weights([datasets[0], bad])
+
+        def with_train(ds, X):
+            return type(ds)(
+                node_id=ds.node_id,
+                train=(X, ds.train[1]),
+                val=ds.val,
+                test=ds.test,
+                numeric_columns=ds.numeric_columns,
+            )
+
+        X = datasets[1].train[0].copy()
+        X[:, 0] = X[:, 1]  # duplicate column: rank deficient, fitted at minimum norm
+        W = pretrain_local_weights([datasets[0], with_train(datasets[1], X)])
+        assert np.allclose(W[1], np.linalg.pinv(X) @ datasets[1].train[1], rtol=0, atol=1e-10)
+        X[3, 2] = np.nan
+        with pytest.raises(DegenerateInputError, match="node 2: least squares input is not finite"):
+            pretrain_local_weights([datasets[0], with_train(datasets[1], X)])
 
 
 class TestExports:

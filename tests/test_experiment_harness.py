@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import math
+import sys
 import textwrap
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +33,7 @@ from fedgtv.fed_optimizers import Algorithm, OptimizerConfig, train
 from fedgtv.model_core import least_squares_fit
 
 FIXTURE = Path(__file__).parent / "data" / "los_fixture.csv"
+LOS_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 
 SPEC_JSON = {
     "node_count": 4,
@@ -682,6 +686,28 @@ class TestRunExperiment:
         with pytest.raises(FileNotFoundError):
             run_experiment(cfg, out, mode="run")
         assert not out.exists()
+
+    def test_grid_on_public_format_csv(self, tmp_path, monkeypatch):
+        # The public layout is rank 18 of 19 columns (the rcount slots sum to
+        # the intercept), so pretraining must take the minimum-norm fit.
+        spec = importlib.util.spec_from_file_location("los_inputs", LOS_INPUTS)
+        los_inputs = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, los_inputs)  # its dataclasses look it up
+        spec.loader.exec_module(los_inputs)
+        shape = los_inputs.LosShape(
+            facility_rows=(("A", 300), ("B", 350), ("C", 400), ("D", 450), ("E", 500)),
+            malformed_per_kind=1,
+        )
+        written = los_inputs.write_los(1, tmp_path / "in", shape)
+        result = run_experiment(written.config, tmp_path / "out", mode="grid", algorithm="all")
+        manifest = result["manifest"]
+        assert manifest["source"]["dropped_rows"] == written.dropped == len(los_inputs.MALFORMED_KINDS)
+        assert manifest["selected"]["fedsgd"]["connected"] is True
+        blocks = result["report"].to_dict()["algorithms"]
+        assert [b["algorithm"] for b in blocks] == ["fedsgd", "fedavg1", "fedavg2"]
+        for b in blocks:
+            values = b["train_mse"] + b["val_mse"] + b["test_mse"] + list(b["mean"].values())
+            assert all(math.isfinite(v) for v in values), b
 
 
 class TestCli:

@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from fedgtv.errors import (
-    DegenerateInputError,
-    ParameterError,
-    ShapeError,
-    SingularSystemError,
-)
+from fedgtv.errors import DegenerateInputError, ParameterError, ShapeError
 from fedgtv.model_core import (
     least_squares_fit,
     mse_gradient,
     mse_loss,
-    predict,
     proximal_step,
     proximal_step_gram,
 )
@@ -31,22 +25,6 @@ def numeric_gradient(X, y, w, h=1e-6):
 
 def prox_objective_gradient(X, y, v, anchor, eta):
     return mse_gradient(X, y, v) + (2.0 / eta) * (v - anchor)
-
-
-class TestPredict:
-    def test_identity(self):
-        assert np.array_equal(predict(np.eye(2), [3.0, -1.0]), [3.0, -1.0])
-
-    def test_zero_weights(self):
-        X = np.arange(12.0).reshape(4, 3)
-        assert np.array_equal(predict(X, np.zeros(3)), np.zeros(4))
-
-    def test_hand_product(self):
-        assert np.array_equal(predict([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0]), [3.0, 7.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            predict(np.eye(2), [1.0, 2.0, 3.0])
 
 
 class TestMseLoss:
@@ -138,16 +116,34 @@ class TestLeastSquaresFit:
         w = rng.standard_normal(4)
         assert np.allclose(least_squares_fit(X, X @ w), w, atol=1e-8)
 
-    def test_underdetermined_rejected(self):
-        with pytest.raises(SingularSystemError):
-            least_squares_fit(np.ones((2, 3)), np.ones(2))
+    def test_underdetermined_gives_minimum_norm(self):
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((2, 3))
+        y = rng.standard_normal(2)
+        w = least_squares_fit(X, y)
+        assert np.allclose(w, np.linalg.pinv(X) @ y, rtol=0, atol=1e-12)
+        assert np.allclose(X @ w, y, rtol=0, atol=1e-12)
 
-    def test_duplicate_column_rejected(self):
+    def test_duplicate_column_gives_minimum_norm(self):
+        # The rank-deficient case of the 19-column layout: the one-hot
+        # rcount slots sum to the intercept column.
         rng = np.random.default_rng(6)
         col = rng.standard_normal((20, 1))
         X = np.hstack([col, col])
-        with pytest.raises(SingularSystemError):
-            least_squares_fit(X, rng.standard_normal(20))
+        y = rng.standard_normal(20)
+        w = least_squares_fit(X, y)
+        assert np.allclose(w, np.linalg.pinv(X) @ y, rtol=0, atol=1e-12)
+        assert w[0] == pytest.approx(w[1], abs=1e-12)
+
+    def test_empty_or_non_finite_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            least_squares_fit(np.ones((0, 3)), np.ones(0))
+        X = np.ones((4, 2))
+        X[2, 1] = np.nan
+        with pytest.raises(DegenerateInputError, match="not finite"):
+            least_squares_fit(X, np.ones(4))
+        with pytest.raises(DegenerateInputError, match="not finite"):
+            least_squares_fit(np.eye(2), [1.0, np.inf])
 
 
 class TestProximalStep:
