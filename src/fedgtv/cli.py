@@ -25,6 +25,7 @@ from .errors import (
     SplitError,
 )
 from .experiment_harness import run_experiment
+from .fed_optimizers import Algorithm
 
 _CONFIG_ERRORS = (ConfigError, ParameterError)
 _DATA_ERRORS = (
@@ -64,34 +65,32 @@ def _execute(mode: str, **kwargs) -> None:
     click.echo(f"artifacts written to {result['out_dir']}")
 
 
-def _common_options(fn):
-    fn = click.option(
-        "--config", "config_path", required=True, type=click.Path(), help="Experiment config file."
-    )(fn)
-    fn = click.option("--data", default=None, type=click.Path(), help="Override: input CSV.")(fn)
-    fn = click.option(
-        "--synthetic", default=None, type=click.Path(), help="Override: synthetic spec JSON."
-    )(fn)
-    fn = click.option("--seed", default=None, type=int, help="Override: split/minibatch seed.")(fn)
-    fn = click.option(
-        "--out", "out_dir", default="fedgtv_out", type=click.Path(), help="Output directory."
-    )(fn)
-    return fn
-
-
-def _algorithm_option(fn):
-    return click.option(
-        "--algorithm",
+# The options of run and grid, in --help order; graph takes the first five.
+_OPTIONS = [
+    click.Option(
+        ["--out", "out_dir"], default="fedgtv_out", type=click.Path(), help="Output directory."
+    ),
+    click.Option(["--seed"], default=None, type=int, help="Override: split/minibatch seed."),
+    click.Option(
+        ["--synthetic"], default=None, type=click.Path(), help="Override: synthetic spec JSON."
+    ),
+    click.Option(["--data"], default=None, type=click.Path(), help="Override: input CSV."),
+    click.Option(
+        ["--config", "config_path"],
+        required=True,
+        type=click.Path(),
+        help="Experiment config file.",
+    ),
+    click.Option(
+        ["--algorithm"],
         default=None,
-        type=click.Choice(["fedsgd", "fedavg1", "fedavg2", "all"]),
+        type=click.Choice([a.value for a in Algorithm] + ["all"]),
         help="Override: which algorithm(s) to train.",
-    )(fn)
-
-
-def _dump_option(fn):
-    return click.option(
-        "--dump-data", is_flag=True, help="Also write per-node preprocessed split CSVs."
-    )(fn)
+    ),
+    click.Option(
+        ["--dump-data"], is_flag=True, help="Also write per-node preprocessed split CSVs."
+    ),
+]
 
 
 @click.group()
@@ -100,54 +99,17 @@ def main():
     """Federated linear regression over an empirical graph (GTVMin)."""
 
 
-@main.command()
-@_common_options
-@_algorithm_option
-@_dump_option
-def run(config_path, data, synthetic, seed, out_dir, algorithm, dump_data):
-    """Train at the fixed [optimizer] settings and report per-node MSE."""
-    _execute(
-        "run",
-        config_path=config_path,
-        out_dir=out_dir,
-        data=data,
-        synthetic=synthetic,
-        seed=seed,
-        algorithm=algorithm,
-        dump_data=dump_data,
-    )
+def _command(mode: str, doc: str, options: list[click.Option]) -> None:
+    main.command(mode, help=doc, params=list(options))(lambda **kwargs: _execute(mode, **kwargs))
 
 
-@main.command()
-@_common_options
-@_algorithm_option
-@_dump_option
-def grid(config_path, data, synthetic, seed, out_dir, algorithm, dump_data):
-    """Hyperparameter grid search; reports each winner as the search trained it."""
-    _execute(
-        "grid",
-        config_path=config_path,
-        out_dir=out_dir,
-        data=data,
-        synthetic=synthetic,
-        seed=seed,
-        algorithm=algorithm,
-        dump_data=dump_data,
-    )
-
-
-@main.command()
-@_common_options
-def graph(config_path, data, synthetic, seed, out_dir):
-    """Build the empirical graph and export its edge list, without training."""
-    _execute(
-        "graph",
-        config_path=config_path,
-        out_dir=out_dir,
-        data=data,
-        synthetic=synthetic,
-        seed=seed,
-    )
+_command("run", "Train at the fixed [optimizer] settings and report per-node MSE.", _OPTIONS)
+_command(
+    "grid", "Hyperparameter grid search; reports each winner as the search trained it.", _OPTIONS
+)
+_command(
+    "graph", "Build the empirical graph and export its edge list, without training.", _OPTIONS[:5]
+)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import math
 import platform
 import shutil
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -61,7 +61,8 @@ class GridSpec:
 
     Defaults are the usual sweep: alpha in {1, 0.5, 0.1}, eta in
     {0.1, 0.01, 0.001}, degree in {1, 2, 3, 4}, all three algorithms. alphas
-    and degrees only apply to fedsgd. Once the node count n is known, the
+    and degrees only apply to fedsgd. Every eta must be positive and every
+    alpha non-negative, both finite. Once the node count n is known, the
     search rejects any degree outside [1, n - 1] with ParameterError (exit 2)
     rather than dropping it, so the default degree axis fails on data with
     fewer than 5 nodes.
@@ -75,10 +76,10 @@ class GridSpec:
     def __post_init__(self):
         if not self.alphas or not self.etas or not self.degrees or not self.algorithms:
             raise ParameterError("grid axes must be non-empty")
-        if any(a < 0 for a in self.alphas):
-            raise ParameterError("grid alphas must be non-negative")
-        if any(e <= 0 for e in self.etas):
-            raise ParameterError("grid etas must be positive")
+        if not all(math.isfinite(a) and a >= 0 for a in self.alphas):
+            raise ParameterError("grid alphas must be non-negative and finite")
+        if not all(math.isfinite(e) and e > 0 for e in self.etas):
+            raise ParameterError("grid etas must be positive and finite")
         if any(int(d) != d or d < 1 for d in self.degrees):
             raise ParameterError("grid degrees must be integers >= 1")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
@@ -360,13 +361,11 @@ class ExperimentConfig:
     trace_every: int = 50
     grid: GridSpec = field(default_factory=GridSpec)
 
-    def optimizer_config(
-        self, algorithm: Algorithm, eta: float | None = None, alpha: float | None = None
-    ) -> OptimizerConfig:
+    def optimizer_config(self, algorithm: Algorithm) -> OptimizerConfig:
         return OptimizerConfig(
             algorithm=algorithm,
-            eta=self.eta if eta is None else eta,
-            alpha=self.alpha if alpha is None else alpha,
+            eta=self.eta,
+            alpha=self.alpha,
             batch_size=self.batch_size,
             max_iterations=self.max_iterations,
             seed=self.seed,
@@ -374,48 +373,65 @@ class ExperimentConfig:
         )
 
 
+def _items(raw: str) -> list[str]:
+    items = [part.strip() for part in raw.split(",") if part.strip()]
+    if not items:
+        raise ValueError("empty list")
+    return items
+
+
+def _list_of(kind):
+    return lambda raw: tuple(kind(item) for item in _items(raw))
+
+
+def _algorithms(raw: str) -> tuple[Algorithm, ...]:
+    return ALL_ALGORITHMS if raw.strip() == "all" else _list_of(Algorithm)(raw)
+
+
+def _seed(raw: str) -> int:
+    seed = int(raw)
+    if seed < 0:
+        raise ValueError(f"must be non-negative, got {seed}")
+    return seed
+
+
+# Every typed config key: (section, key) -> (field, parser). A parser takes the
+# raw string and raises ValueError on a malformed value. [grid] fields are
+# GridSpec's, the others ExperimentConfig's; [columns] is a free-form
+# logical = physical map and has no entry.
 _CONFIG_KEYS = {
-    "data": {"csv", "synthetic"},
-    "preprocess": {"seed", "condition_columns"},
-    "columns": None,  # free-form logical = physical map
-    "graph": {"degree"},
-    "optimizer": {"algorithm", "eta", "alpha", "batch_size", "max_iterations", "trace_every"},
-    "grid": {"alphas", "etas", "degrees", "algorithms"},
+    ("data", "csv"): ("data_path", Path),
+    ("data", "synthetic"): ("synthetic_path", Path),
+    ("preprocess", "seed"): ("seed", _seed),
+    ("preprocess", "condition_columns"): ("condition_columns", _list_of(str)),
+    ("graph", "degree"): ("degree", int),
+    ("optimizer", "algorithm"): ("algorithms", _algorithms),
+    ("optimizer", "eta"): ("eta", float),
+    ("optimizer", "alpha"): ("alpha", float),
+    ("optimizer", "batch_size"): ("batch_size", int),
+    ("optimizer", "max_iterations"): ("max_iterations", int),
+    ("optimizer", "trace_every"): ("trace_every", int),
+    ("grid", "alphas"): ("alphas", _list_of(float)),
+    ("grid", "etas"): ("etas", _list_of(float)),
+    ("grid", "degrees"): ("degrees", _list_of(int)),
+    ("grid", "algorithms"): ("algorithms", _algorithms),
 }
 
 
-def _parse_scalar(kind, section: str, key: str, raw: str):
+def _parse(section: str, key: str, raw: str, source: str | None = None):
+    """``raw`` through the key's parser; a ConfigError names ``source`` or the key."""
     try:
-        return kind(raw)
+        return _CONFIG_KEYS[section, key][1](raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
-
-
-def _parse_list(kind, section: str, key: str, raw: str) -> tuple:
-    items = [part.strip() for part in raw.split(",") if part.strip()]
-    if not items:
-        raise ConfigError(f"[{section}] {key}: empty list")
-    return tuple(_parse_scalar(kind, section, key, item) for item in items)
-
-
-def _parse_algorithms(section: str, key: str, raw: str) -> tuple[Algorithm, ...]:
-    if raw.strip() == "all":
-        return ALL_ALGORITHMS
-    names = [part.strip() for part in raw.split(",") if part.strip()]
-    if not names:
-        raise ConfigError(f"[{section}] {key}: empty list")
-    try:
-        return tuple(Algorithm(name) for name in names)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        raise ConfigError(f"{source or f'[{section}] {key}'}: {exc}") from exc
 
 
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse the INI-style experiment config; unknown sections or keys fail.
 
-    Relative data paths resolve against the config file's directory. All
-    sections and keys are optional; missing values take ExperimentConfig
-    defaults.
+    Every key parses through its ``_CONFIG_KEYS`` entry. Relative data paths
+    resolve against the config file's directory. All sections and keys are
+    optional; missing values take ExperimentConfig and GridSpec defaults.
     """
     path = Path(path)
     if not path.is_file():
@@ -426,112 +442,56 @@ def load_experiment_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    unknown_sections = set(parser.sections()) - set(_CONFIG_KEYS)
+    unknown_sections = set(parser.sections()) - {s for s, _ in _CONFIG_KEYS} - {"columns"}
     if unknown_sections:
         raise ConfigError(f"unknown config section(s): {sorted(unknown_sections)}")
-    for section, allowed in _CONFIG_KEYS.items():
-        if allowed is None or section not in parser:
-            continue
-        extra = set(parser[section]) - allowed
-        if extra:
+    for section in parser.sections():
+        extra = {key for key in parser[section] if (section, key) not in _CONFIG_KEYS}
+        if extra and section != "columns":
             raise ConfigError(f"unknown key(s) in [{section}]: {sorted(extra)}")
 
-    cfg = ExperimentConfig()
-    base = path.parent
-
-    def resolve(raw: str) -> Path:
-        p = Path(raw)
-        return p if p.is_absolute() else base / p
-
-    if "data" in parser:
-        sec = parser["data"]
-        if "csv" in sec:
-            cfg.data_path = resolve(sec["csv"])
-        if "synthetic" in sec:
-            cfg.synthetic_path = resolve(sec["synthetic"])
-    if "preprocess" in parser:
-        sec = parser["preprocess"]
-        if "seed" in sec:
-            cfg.seed = _parse_scalar(int, "preprocess", "seed", sec["seed"])
-        if "condition_columns" in sec:
-            cfg.condition_columns = _parse_list(
-                str, "preprocess", "condition_columns", sec["condition_columns"]
-            )
+    settings: dict = {}
+    grid: dict = {}
+    for (section, key), (name, _) in _CONFIG_KEYS.items():
+        if parser.has_option(section, key):
+            value = _parse(section, key, parser[section][key])
+            if isinstance(value, Path):  # [data] paths: relative to the config
+                value = path.parent / value
+            (grid if section == "grid" else settings)[name] = value
     if "columns" in parser:
-        overrides = dict(parser["columns"])
-        bad = set(overrides) - set(LOGICAL_FIELDS)
+        settings["columns"] = dict(parser["columns"])
+        bad = set(settings["columns"]) - set(LOGICAL_FIELDS)
         if bad:
             raise ConfigError(f"[columns] unknown logical field(s): {sorted(bad)}")
-        cfg.columns = overrides
-    if "graph" in parser and "degree" in parser["graph"]:
-        cfg.degree = _parse_scalar(int, "graph", "degree", parser["graph"]["degree"])
-    if "optimizer" in parser:
-        sec = parser["optimizer"]
-        if "algorithm" in sec:
-            cfg.algorithms = _parse_algorithms("optimizer", "algorithm", sec["algorithm"])
-        if "eta" in sec:
-            cfg.eta = _parse_scalar(float, "optimizer", "eta", sec["eta"])
-        if "alpha" in sec:
-            cfg.alpha = _parse_scalar(float, "optimizer", "alpha", sec["alpha"])
-        if "batch_size" in sec:
-            cfg.batch_size = _parse_scalar(int, "optimizer", "batch_size", sec["batch_size"])
-        if "max_iterations" in sec:
-            cfg.max_iterations = _parse_scalar(
-                int, "optimizer", "max_iterations", sec["max_iterations"]
-            )
-        if "trace_every" in sec:
-            cfg.trace_every = _parse_scalar(int, "optimizer", "trace_every", sec["trace_every"])
-    if "grid" in parser:
-        sec = parser["grid"]
-        kwargs = {}
-        if "alphas" in sec:
-            kwargs["alphas"] = _parse_list(float, "grid", "alphas", sec["alphas"])
-        if "etas" in sec:
-            kwargs["etas"] = _parse_list(float, "grid", "etas", sec["etas"])
-        if "degrees" in sec:
-            kwargs["degrees"] = _parse_list(int, "grid", "degrees", sec["degrees"])
-        if "algorithms" in sec:
-            kwargs["algorithms"] = _parse_algorithms("grid", "algorithms", sec["algorithms"])
-        try:
-            cfg.grid = replace(cfg.grid, **kwargs)
-        except ParameterError as exc:
-            raise ConfigError(f"[grid] {exc}") from exc
-    return cfg
+    try:
+        settings["grid"] = GridSpec(**grid)
+    except ParameterError as exc:
+        raise ConfigError(f"[grid] {exc}") from exc
+    return ExperimentConfig(**settings)
 
 
-_SYNTHETIC_KEYS = {
-    "node_count",
-    "rows_per_node",
-    "feature_dim",
-    "cluster_assignment",
-    "cluster_weights",
-    "noise_std",
-    "seed",
-}
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def load_synthetic_spec(path) -> SyntheticSpec:
-    """Read a SyntheticSpec from a JSON file (keys mirror the dataclass)."""
+    """Read a SyntheticSpec from a JSON object whose keys are the dataclass's fields.
+
+    Fields without a default are required; JSON arrays become tuples.
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: synthetic spec must be a JSON object")
-    unknown = set(raw) - _SYNTHETIC_KEYS
+    spec_fields = fields(SyntheticSpec)
+    unknown = set(raw) - {f.name for f in spec_fields}
     if unknown:
         raise SchemaError(f"{path}: unknown synthetic spec key(s): {sorted(unknown)}")
-    missing = {"node_count", "rows_per_node", "feature_dim", "cluster_assignment", "cluster_weights"} - set(raw)
+    missing = {f.name for f in spec_fields if f.default is MISSING} - set(raw)
     if missing:
         raise SchemaError(f"{path}: synthetic spec missing key(s): {sorted(missing)}")
-    return SyntheticSpec(
-        node_count=raw["node_count"],
-        rows_per_node=tuple(raw["rows_per_node"]),
-        feature_dim=raw["feature_dim"],
-        cluster_assignment=tuple(raw["cluster_assignment"]),
-        cluster_weights=tuple(tuple(w) for w in raw["cluster_weights"]),
-        noise_std=raw.get("noise_std", 0.0),
-        seed=raw.get("seed", 0),
-    )
+    return SyntheticSpec(**{key: _tuples(value) for key, value in raw.items()})
 
 
 def _render_trace_csv(traces: dict[str, TrainingTrace], node_ids: Sequence[int]) -> str:
@@ -631,18 +591,10 @@ def run_experiment(
     if synthetic is not None:
         cfg.data_path, cfg.synthetic_path = None, Path(synthetic)
     if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {seed}")
-        cfg.seed = seed
-    chosen: tuple[Algorithm, ...] | None = None
+        cfg.seed = _parse("preprocess", "seed", str(seed), "--seed")
     if algorithm is not None:
-        if algorithm == "all":
-            chosen = ALL_ALGORITHMS
-        else:
-            try:
-                chosen = (Algorithm(algorithm),)
-            except ValueError as exc:
-                raise ConfigError(f"unknown algorithm {algorithm!r}") from exc
+        cfg.algorithms = _parse("optimizer", "algorithm", algorithm, "--algorithm")
+        cfg.grid = replace(cfg.grid, algorithms=cfg.algorithms)
 
     datasets, source = _load_datasets(cfg)
     node_ids = [ds.node_id for ds in datasets]
@@ -673,28 +625,26 @@ def run_experiment(
         # trained algorithm, reported by the loop below in both modes.
         fits = []
         if mode == "run":
-            algorithms = chosen or cfg.algorithms
             manifest["optimizer"] = {
-                "algorithms": [a.value for a in algorithms],
+                "algorithms": [a.value for a in cfg.algorithms],
                 "eta": cfg.eta,
                 "alpha": cfg.alpha,
                 "batch_size": cfg.batch_size,
                 "max_iterations": cfg.max_iterations,
             }
-            if Algorithm.FEDSGD in algorithms:
+            if Algorithm.FEDSGD in cfg.algorithms:
                 graph = build_knn_graph(
                     discrepancy_matrix(pretrain_local_weights(datasets)), cfg.degree
                 )
-            for algo in algorithms:
+            for algo in cfg.algorithms:
                 algo_graph = graph if algo is Algorithm.FEDSGD else None
                 W, trace = train(datasets, algo_graph, cfg.optimizer_config(algo))
                 params = _hyperparameters(algo, cfg.eta, cfg.alpha, cfg.degree)
                 fits.append((algo, params, W, trace, algo_graph))
         else:
-            grid = cfg.grid if chosen is None else replace(cfg.grid, algorithms=chosen)
             result = run_grid_search(
                 datasets,
-                grid,
+                cfg.grid,
                 batch_size=cfg.batch_size,
                 max_iterations=cfg.max_iterations,
                 seed=cfg.seed,
@@ -704,7 +654,7 @@ def run_experiment(
             manifest["selected"] = {
                 name: cell.to_dict() for name, cell in sorted(result.best.items())
             }
-            for algo in grid.algorithms:
+            for algo in cfg.grid.algorithms:
                 winner = result.best[algo.value]
                 params = _hyperparameters(algo, winner.eta, winner.alpha, winner.degree)
                 fits.append((algo, params, *result.trained[algo.value]))

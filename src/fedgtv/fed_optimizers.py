@@ -26,6 +26,7 @@ result is bitwise identical to training it alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -53,7 +54,8 @@ class OptimizerConfig:
     ``eta`` is the learning rate for fedsgd/fedavg1 and the proximal weight
     for fedavg2 (larger eta = weaker pull toward the shared anchor).
     ``alpha`` and ``batch_size`` only affect fedsgd. ``trace_every`` sets the
-    logging cadence of the training trace.
+    logging cadence of the training trace. ``eta`` must be positive and
+    ``alpha`` non-negative, both finite.
     """
 
     algorithm: Algorithm
@@ -66,10 +68,10 @@ class OptimizerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
-        if self.eta <= 0:
-            raise ParameterError(f"eta must be positive, got {self.eta}")
-        if self.alpha < 0:
-            raise ParameterError(f"alpha must be non-negative, got {self.alpha}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ParameterError(f"eta must be positive and finite, got {self.eta}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ParameterError(f"alpha must be non-negative and finite, got {self.alpha}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_iterations < 1:

@@ -1,6 +1,8 @@
+import configparser
 import importlib.util
 import json
 import math
+import re
 import sys
 import textwrap
 from dataclasses import replace
@@ -12,7 +14,7 @@ from click.testing import CliRunner
 
 from fedgtv import experiment_harness
 from fedgtv.cli import main
-from fedgtv.data_pipeline import LocalDataset, SyntheticSpec, generate_synthetic
+from fedgtv.data_pipeline import CsvSchema, LocalDataset, SyntheticSpec, generate_synthetic
 from fedgtv.errors import (
     ConfigError,
     NoFeasibleConfigError,
@@ -33,7 +35,25 @@ from fedgtv.fed_optimizers import Algorithm, OptimizerConfig, train
 from fedgtv.model_core import least_squares_fit
 
 FIXTURE = Path(__file__).parent / "data" / "los_fixture.csv"
-LOS_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+ROOT = Path(__file__).resolve().parent.parent
+LOS_INPUTS = ROOT / "perfbench" / "inputs.py"
+
+# One malformed value per typed config key; a [data] path accepts any string.
+BAD_VALUES = {
+    ("preprocess", "seed"): "1.5",
+    ("preprocess", "condition_columns"): " , ",
+    ("graph", "degree"): "two",
+    ("optimizer", "algorithm"): "sgd",
+    ("optimizer", "eta"): "fast",
+    ("optimizer", "alpha"): "strong",
+    ("optimizer", "batch_size"): "64.0",
+    ("optimizer", "max_iterations"): "1e3",
+    ("optimizer", "trace_every"): "ten",
+    ("grid", "alphas"): "1.0, x",
+    ("grid", "etas"): "0.1, fast",
+    ("grid", "degrees"): "1, 2.5",
+    ("grid", "algorithms"): "fedsgd, sgd",
+}
 
 SPEC_JSON = {
     "node_count": 4,
@@ -109,10 +129,12 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ParameterError):
             GridSpec(alphas=())
-        with pytest.raises(ParameterError):
-            GridSpec(alphas=(-0.1,))
-        with pytest.raises(ParameterError):
-            GridSpec(etas=(0.0,))
+        for alpha in (-0.1, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                GridSpec(alphas=(alpha,))
+        for eta in (0.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                GridSpec(etas=(eta,))
         with pytest.raises(ParameterError):
             GridSpec(degrees=(0,))
         with pytest.raises(ParameterError):
@@ -431,9 +453,25 @@ class TestLoadExperimentConfig:
         with pytest.raises(ConfigError, match="momentum"):
             load_experiment_config(write_config(tmp_path, "[optimizer]\nmomentum = 0.9\n"))
 
-    def test_bad_number(self, tmp_path):
-        with pytest.raises(ConfigError, match="eta"):
-            load_experiment_config(write_config(tmp_path, "[optimizer]\neta = fast\n"))
+    @pytest.mark.parametrize(
+        "section, key", [entry for entry in experiment_harness._CONFIG_KEYS if entry[0] != "data"]
+    )
+    def test_bad_number(self, tmp_path, section, key):
+        path = write_config(tmp_path, f"[{section}]\n{key} = {BAD_VALUES[section, key]}\n")
+        with pytest.raises(ConfigError) as info:
+            load_experiment_config(path)
+        assert str(info.value).startswith(f"[{section}] {key}:")
+
+    def test_readme_example_config(self, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+        cfg = load_experiment_config(write_config(tmp_path, block))
+        assert (cfg.seed, cfg.degree, cfg.eta, cfg.alpha) == (42, 2, 0.1, 0.1)
+        assert cfg.condition_columns == CsvSchema().condition_columns
+        parser = configparser.ConfigParser()
+        parser.read_string(block)
+        documented = {(s, k) for s in parser.sections() if s != "columns" for k in parser[s]}
+        assert documented == set(experiment_harness._CONFIG_KEYS)
 
     def test_bad_algorithm(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -751,6 +789,25 @@ class TestCli:
         cfg = write_config(tmp_path, "[optimizer]\neta = fast\n")
         result = self.run_cli("run", "--config", str(cfg))
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "body, args, message",
+        [
+            ("[preprocess]\nseed = -1\n", [], "[preprocess] seed: must be non-negative, got -1"),
+            ("", ["--seed", "-1"], "--seed: must be non-negative, got -1"),
+            ("[optimizer]\nalgorithm = fedavg2\neta = inf\n", [], "eta must be positive and finite"),
+        ],
+        ids=["negative_seed", "negative_seed_override", "fedavg2_infinite_eta"],
+    )
+    def test_out_of_range_setting_exits_2(self, tmp_path, body, args, message):
+        cfg = write_config(tmp_path, f"[data]\ncsv = {FIXTURE}\n" + body)
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(out), *args)
+        assert result.exit_code == 2, result.output
+        assert f"config error: {message}" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert not out.exists()
 
     def test_missing_data_exits_3(self, tmp_path):
         cfg = synthetic_config(tmp_path)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -58,10 +59,12 @@ class TestOptimizerConfig:
         assert cfg.algorithm is Algorithm.FEDSGD
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            OptimizerConfig("fedsgd", eta=0.0)
-        with pytest.raises(ParameterError):
-            OptimizerConfig("fedsgd", eta=0.1, alpha=-0.1)
+        for eta in (0.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                OptimizerConfig("fedsgd", eta=eta)
+        for alpha in (-0.1, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                OptimizerConfig("fedsgd", eta=0.1, alpha=alpha)
         with pytest.raises(ParameterError):
             OptimizerConfig("fedsgd", eta=0.1, batch_size=0)
         with pytest.raises(ParameterError):
