@@ -19,7 +19,7 @@ import shutil
 import tempfile
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -426,6 +426,14 @@ def _parse(section: str, key: str, raw: str, source: str | None = None):
         raise ConfigError(f"{source or f'[{section}] {key}'}: {exc}") from exc
 
 
+def _value(parser: configparser.ConfigParser, section: str, key: str) -> str:
+    """The interpolated value of ``[section] key``; a configparser error names the key."""
+    try:
+        return parser[section][key]
+    except configparser.Error as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse the INI-style experiment config; unknown sections or keys fail.
 
@@ -454,12 +462,12 @@ def load_experiment_config(path) -> ExperimentConfig:
     grid: dict = {}
     for (section, key), (name, _) in _CONFIG_KEYS.items():
         if parser.has_option(section, key):
-            value = _parse(section, key, parser[section][key])
+            value = _parse(section, key, _value(parser, section, key))
             if isinstance(value, Path):  # [data] paths: relative to the config
                 value = path.parent / value
             (grid if section == "grid" else settings)[name] = value
     if "columns" in parser:
-        settings["columns"] = dict(parser["columns"])
+        settings["columns"] = {key: _value(parser, "columns", key) for key in parser["columns"]}
         bad = set(settings["columns"]) - set(LOGICAL_FIELDS)
         if bad:
             raise ConfigError(f"[columns] unknown logical field(s): {sorted(bad)}")
@@ -474,10 +482,21 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
+def _json_fits(value, hint) -> bool:
+    """Whether a JSON value fits a field typed int, float or ``tuple[X, ...]``; no bool does."""
+    if isinstance(value, bool):
+        return False
+    if hint in (int, float):
+        return isinstance(value, int) or (hint is float and isinstance(value, float))
+    return isinstance(value, list) and all(_json_fits(item, get_args(hint)[0]) for item in value)
+
+
 def load_synthetic_spec(path) -> SyntheticSpec:
     """Read a SyntheticSpec from a JSON object whose keys are the dataclass's fields.
 
-    Fields without a default are required; JSON arrays become tuples.
+    Fields without a default are required. Each value must have its field's
+    JSON type (an integer is no bool, an array holds scalars of the item
+    type); JSON arrays become tuples.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
@@ -491,6 +510,11 @@ def load_synthetic_spec(path) -> SyntheticSpec:
     missing = {f.name for f in spec_fields if f.default is MISSING} - set(raw)
     if missing:
         raise SchemaError(f"{path}: synthetic spec missing key(s): {sorted(missing)}")
+    hints = get_type_hints(SyntheticSpec)
+    for f in spec_fields:
+        if f.name in raw and not _json_fits(raw[f.name], hints[f.name]):
+            got = json.dumps(raw[f.name])
+            raise SchemaError(f"{path}: synthetic spec {f.name!r} must be {f.type}, got {got}")
     return SyntheticSpec(**{key: _tuples(value) for key, value in raw.items()})
 
 

@@ -1,14 +1,21 @@
+import csv
+import math
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fedgtv import data_pipeline
 from fedgtv.data_pipeline import (
     CsvSchema,
     FEATURE_DIM,
     FEATURE_NAMES,
+    GENDER_VALUE,
     LocalDataset,
     NUMERIC_COLUMNS,
+    NUMERIC_FIELDS,
+    RCOUNT_SLOT,
     SyntheticSpec,
     dump_preprocessed,
     engineer_features,
@@ -84,6 +91,10 @@ DROP_RULES = [
     ("numeric_padded_exponent", {}, make_row(sodium=" 1e0 "), {5: 1.0}),
     ("numeric_str_strip_whitespace", {}, make_row(sodium="\x1f2\x1f"), {5: 2.0}),
     ("numeric_negative_zero_kept", {}, make_row(sodium="-0"), {5: -0.0}),
+    ("numeric_arabic_indic_digits", {}, make_row(sodium="\u0661\u0662"), {5: 12.0}),
+    ("numeric_nbsp_padded", {}, make_row(sodium="\xa01.5"), {5: 1.5}),
+    ("numeric_trailing_nul", {}, make_row(sodium="1\x00"), DROPPED),
+    ("numeric_hex", {}, make_row(sodium="0x10"), DROPPED),
     ("numeric_blank", {}, make_row(sodium=" "), DROPPED),
     ("numeric_text", {}, make_row(glucose="n/a"), DROPPED),
     ("numeric_nan", {}, make_row(glucose="nan"), DROPPED),
@@ -96,10 +107,12 @@ DROP_RULES = [
     ("flag_written_1e0", {}, make_row(asthma="1e0"), {12: 1.0}),
     ("flag_negative_zero", {}, make_row(asthma="-0"), {12: 0.0}),
     ("flag_not_binary", {}, make_row(asthma="0.5"), DROPPED),
+    ("flags_opposite_infinities", {}, make_row(asthma="inf", irondef="-inf"), DROPPED),
     ("los_written_4.0", {}, make_row(lengthofstay=" 4.0 "), {13: 4.0}),
     ("los_fractional", {}, make_row(lengthofstay="2.5"), DROPPED),
     ("los_zero", {}, make_row(lengthofstay="0"), DROPPED),
     ("los_infinite", {}, make_row(lengthofstay="inf"), DROPPED),
+    ("los_infinity_spelled_out", {}, make_row(lengthofstay="infinity"), DROPPED),
     ("facid_stripped", {}, make_row(facid=" X "), {}),
     ("facid_blank", {}, make_row(facid=" "), DROPPED),
     ("row_longer_than_header", {}, make_row() + ["extra"], {}),
@@ -111,6 +124,87 @@ DROP_RULES = [
     ("blank_line", {}, [], SKIPPED),
     ("whitespace_only_line", {}, ["   "], DROPPED),
 ]
+
+
+def reference_load_csv(path, schema=None):
+    """Row-at-a-time oracle for load_csv: one record per row, checked in place."""
+    schema = schema or CsvSchema()
+    flag_value = {0.0: 0.0, 1.0: 1.0}  # a flag written -0 becomes +0.0
+    records, dropped = {}, 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        index = {name: i for i, name in enumerate(next(reader))}
+        logical = ("facid", "rcount", "gender", "hemo", "lengthofstay") + NUMERIC_FIELDS
+        pick = itemgetter(
+            *(index[schema.physical(f)] for f in logical),
+            *(index[c] for c in schema.condition_columns),
+        )
+        for row in reader:
+            if not row:
+                continue
+            try:
+                facid, rcount, gender, *texts = map(str.strip, pick(row))
+                hemo, los, *values = map(float, texts)  # the nine numerics, then the flags
+                record = (
+                    RCOUNT_SLOT[rcount],
+                    GENDER_VALUE[gender.upper()],
+                    flag_value[hemo],
+                    *values[:9],
+                    sum(map(flag_value.__getitem__, values[9:])),
+                    los,
+                )
+            except (IndexError, KeyError, ValueError):
+                dropped += 1
+                continue
+            if not (facid and los >= 1 and los.is_integer() and all(map(math.isfinite, values[:9]))):
+                dropped += 1
+                continue
+            records.setdefault(facid, []).append(record)
+    return {facid: np.array(records[facid]) for facid in sorted(records)}, dropped
+
+
+# Field texts that replace one value of a valid row: some keep the row, most drop it.
+MUTATIONS = [
+    {"rcount": "9"}, {"rcount": " 5+ "}, {"gender": "U"}, {"gender": " m "},
+    {"sodium": "n/a"}, {"sodium": "\x1f2\x1f"}, {"sodium": "-0"}, {"sodium": "1\x00"},
+    {"sodium": "\u0661\u0662"}, {"glucose": "1e400"}, {"glucose": "nan"},
+    {"hemo": "2"}, {"hemo": "-0"}, {"asthma": "0.5"}, {"asthma": "-0"}, {"asthma": "1e0"},
+    {"lengthofstay": "2.5"}, {"lengthofstay": " 4.0 "}, {"lengthofstay": "0"},
+    {"facid": " "}, {"facid": " B "}, {"facid": "B\x00"},
+]
+
+
+def chunked_csv_lines(chunk, rng):
+    """Data lines of a CSV four and a third chunks long, with odd rows at every chunk boundary.
+
+    The third chunk holds only blank and short lines; facility "late" first
+    appears in the second chunk.
+    """
+    lines = []
+    for i in range(4 * chunk + chunk // 3):
+        fields = dict(
+            rcount=rng.choice(["0", "1", "2", "3", "4", "5+"]),
+            gender=rng.choice(["M", "F"]),
+            hemo=str(rng.integers(2)),
+            lengthofstay=str(rng.integers(1, 12)),
+            facid=rng.choice(["A", "B", "C", "late"] if i > chunk + 3 else ["A", "B", "C"]),
+            **{name: repr(float(rng.normal(10.0, 3.0))) for name in NUMERIC_FIELDS},
+            **{name: str(rng.integers(2)) for name in data_pipeline.DEFAULT_CONDITION_COLUMNS},
+        )
+        at_boundary = i % chunk in (0, 1, chunk - 2, chunk - 1)
+        if 2 * chunk <= i < 3 * chunk:
+            lines.append(["", "   ", "1,2"][i % 3])
+            continue
+        if at_boundary and i % 5 == 0:
+            lines.append("")
+            continue
+        if at_boundary and i % 5 == 1:
+            lines.append(",".join(make_row(**fields)[:-2]))  # too short to reach facid
+            continue
+        if at_boundary or rng.random() < 0.05:
+            fields.update(MUTATIONS[rng.integers(len(MUTATIONS))])
+        lines.append(",".join(make_row(**fields)))
+    return lines
 
 
 class TestLoadCsv:
@@ -179,6 +273,7 @@ class TestLoadCsv:
         assert dropped == 2
         assert sum(len(g) for g in groups.values()) == 3
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "extra, row, outcome", [pytest.param(*case[1:], id=case[0]) for case in DROP_RULES]
     )
@@ -195,6 +290,22 @@ class TestLoadCsv:
         assert kept.shape == (1, 14)
         for column, value in outcome.items():
             assert same_float(kept[0, column], value), (column, kept[0, column], value)
+
+
+    def test_multi_chunk_file_matches_row_oracle(self, tmp_path):
+        chunk = data_pipeline._CHUNK_ROWS
+        lines = chunked_csv_lines(chunk, np.random.default_rng(8))
+        path = tmp_path / "chunks.csv"
+        path.write_text("\n".join([",".join(HEADER), *lines]) + "\n", encoding="utf-8")
+        assert len(lines) % chunk and len(lines) > 4 * chunk
+        groups, dropped = load_csv(path)
+        expected, expected_dropped = reference_load_csv(path)
+        assert list(groups) == list(expected) == ["A", "B", "B\x00", "C", "late"]
+        for facid, block in groups.items():
+            assert block.shape == expected[facid].shape
+            assert block.tobytes() == expected[facid].tobytes(), facid
+        assert type(dropped) is int and dropped == expected_dropped
+        assert dropped > 2 * chunk // 3  # at least the third chunk's short lines
 
 
 class TestCsvSchema:

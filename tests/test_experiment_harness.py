@@ -485,6 +485,28 @@ class TestLoadExperimentConfig:
         with pytest.raises(ConfigError):
             load_experiment_config(write_config(tmp_path, "[grid]\netas = 0.0\n"))
 
+    @pytest.mark.parametrize(
+        "body, prefix",
+        [
+            ("[data]\ncsv = a%b.csv\n", "[data] csv:"),
+            ("[optimizer]\neta = 0.1%\n", "[optimizer] eta:"),
+            ("[grid]\netas = %(missing)s\n", "[grid] etas:"),
+            ("[columns]\nrcount = read%s\n", "[columns] rcount:"),
+        ],
+        ids=["data_path", "number", "missing_reference", "columns"],
+    )
+    def test_interpolation_error_names_key(self, tmp_path, body, prefix):
+        with pytest.raises(ConfigError) as info:
+            load_experiment_config(write_config(tmp_path, body))
+        assert str(info.value).startswith(prefix)
+
+    def test_doubled_percent_is_a_percent(self, tmp_path):
+        cfg = load_experiment_config(
+            write_config(tmp_path, "[data]\ncsv = a%%b.csv\n[columns]\nrcount = r%%\n")
+        )
+        assert cfg.data_path == tmp_path / "a%b.csv"
+        assert cfg.columns == {"rcount": "r%"}
+
 
 class TestLoadSyntheticSpec:
     def test_roundtrip(self, tmp_path):
@@ -513,6 +535,12 @@ class TestLoadSyntheticSpec:
         p.write_text("[1, 2, 3]")
         with pytest.raises(SchemaError):
             load_synthetic_spec(p)
+
+    def test_integer_values_accepted_as_floats(self, tmp_path):
+        p = tmp_path / "ints.json"
+        p.write_text(json.dumps(dict(SPEC_JSON, noise_std=0, cluster_weights=[[2, -1, 0], [-2, 1, 0]])))
+        spec = load_synthetic_spec(p)
+        assert spec.noise_std == 0 and spec.cluster_weights == ((2, -1, 0), (-2, 1, 0))
 
 
 class TestRunExperiment:
@@ -815,6 +843,46 @@ class TestCli:
             "run", "--config", str(cfg), "--data", str(tmp_path / "missing.csv")
         )
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rows_per_node", 24),
+            ("seed", "3"),
+            ("feature_dim", None),
+            ("node_count", [4]),
+            ("rows_per_node", [[24], 24, 24, 24]),
+            ("cluster_assignment", [[0], 0, 1, 1]),
+            ("cluster_weights", [[[2.0], -1.0, 0.5], [-2.0, 1.0, -0.5]]),
+            ("cluster_weights", [2.0, -1.0, 0.5]),
+            ("noise_std", "0.1"),
+            ("node_count", True),
+            ("rows_per_node", [24, True, 24, 24]),
+        ],
+        ids=[
+            "rows_scalar", "seed_string", "dim_null", "count_array", "rows_nested",
+            "assignment_nested", "weights_too_deep", "weights_flat", "noise_string",
+            "count_bool", "rows_holding_bool",
+        ],
+    )
+    def test_wrong_typed_synthetic_spec_exits_3(self, tmp_path, key, value):
+        cfg = synthetic_config(tmp_path)
+        (tmp_path / "spec.json").write_text(json.dumps(dict(SPEC_JSON, **{key: value})))
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 3, result.output
+        assert f"synthetic spec {key!r} must be" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
+    def test_percent_in_config_value_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, "[data]\ncsv = a%b.csv\n")
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert "config error: [data] csv:" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
 
     def test_bad_synthetic_json_exits_3(self, tmp_path):
         cfg = synthetic_config(tmp_path)
