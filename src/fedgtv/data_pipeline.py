@@ -364,8 +364,10 @@ class SyntheticSpec:
             raise ParameterError("cluster_assignment references a missing cluster")
         if any(len(w) != self.feature_dim for w in self.cluster_weights):
             raise ParameterError("every cluster weight vector must have feature_dim entries")
-        if self.noise_std < 0:
-            raise ParameterError("noise_std must be non-negative")
+        if not all(math.isfinite(v) for w in self.cluster_weights for v in w):
+            raise ParameterError("every cluster weight must be finite")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ParameterError(f"noise_std must be non-negative and finite, got {self.noise_std}")
         if self.seed < 0:
             raise ParameterError("seed must be non-negative")
 

@@ -50,7 +50,8 @@ from .errors import (
     SchemaError,
 )
 from .fed_optimizers import Algorithm, OptimizerConfig, TrainingTrace, train, train_cells
-from .model_core import mse_loss
+# mse_loss stays importable here: the benchmark's tracer wraps it at this path.
+from .model_core import _as_weights, _as_xy, _mse_rows, mse_loss  # noqa: F401
 
 ALL_ALGORITHMS = (Algorithm.FEDSGD, Algorithm.FEDAVG1, Algorithm.FEDAVG2)
 
@@ -173,11 +174,19 @@ def _fmt_param(v) -> str:
     return f"{v:g}"
 
 
-def _node_mse(ds: LocalDataset, split: str, w: np.ndarray) -> float:
-    X, y = ds.split(split)
-    if X.shape[0] == 0:
-        return float("nan")
-    return mse_loss(X, y, w)
+def _split_mse(W: np.ndarray, datasets: Sequence[LocalDataset], split: str) -> np.ndarray:
+    """(C, n) MSE of every cell of a (C, n, d) stack at every node's split; NaN where it is empty.
+
+    Each node's split is checked against the stack once and scored with one
+    stacked residual over the cells, bitwise the per-cell :func:`mse_loss`.
+    """
+    out = np.full(W.shape[:2], np.nan)
+    for i, ds in enumerate(datasets):
+        X, y = _as_xy(*ds.split(split))
+        _as_weights(X, W[:, i], stacked=True)
+        if X.shape[0]:
+            out[:, i] = _mse_rows(X, y, W[:, i])
+    return out
 
 
 def evaluate(
@@ -196,12 +205,15 @@ def evaluate(
         raise ParameterError(
             f"need one weight row per dataset, got shape {W.shape} for {len(datasets)} nodes"
         )
+    train_mse, val_mse, test_mse = (
+        tuple(_split_mse(W[None], datasets, split)[0].tolist()) for split in ("train", "val", "test")
+    )
     block = AlgorithmMetrics(
         algorithm=algorithm,
         node_ids=tuple(ds.node_id for ds in datasets),
-        train_mse=tuple(_node_mse(ds, "train", W[i]) for i, ds in enumerate(datasets)),
-        val_mse=tuple(_node_mse(ds, "val", W[i]) for i, ds in enumerate(datasets)),
-        test_mse=tuple(_node_mse(ds, "test", W[i]) for i, ds in enumerate(datasets)),
+        train_mse=train_mse,
+        val_mse=val_mse,
+        test_mse=test_mse,
         hyperparameters=dict(hyperparameters or {}),
     )
     return MetricsReport(blocks=[block])
@@ -270,10 +282,6 @@ def select_best(cells: Sequence[GridCell]) -> GridCell:
     )
 
 
-def _mean_val_mse(W: np.ndarray, datasets: Sequence[LocalDataset]) -> float:
-    return float(np.mean([_node_mse(ds, "val", W[i]) for i, ds in enumerate(datasets)]))
-
-
 def run_grid_search(
     datasets: Sequence[LocalDataset],
     grid: GridSpec | None = None,
@@ -327,7 +335,8 @@ def run_grid_search(
         configs = [OptimizerConfig(algorithm, eta, alpha or 0.0, **settings) for eta, alpha, *_ in live]
         W, traces = train_cells(datasets, [s[3] for s in live], configs) if live else ((), ())
         fits = {s[:3]: (w, trace, s[3]) for s, w, trace in zip(live, W, traces)}
-        val_mse = {key: _mean_val_mse(fit[0], datasets) for key, fit in fits.items()}
+        val = _split_mse(W, datasets, "val") if live else ()
+        val_mse = {s[:3]: float(np.mean(row)) for s, row in zip(live, val)}
         algo_cells = [
             GridCell(algorithm.value, eta, alpha, d, connected, val_mse.get((eta, alpha, d)))
             for eta, alpha, d, _, connected in specs

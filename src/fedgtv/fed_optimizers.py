@@ -23,6 +23,18 @@ nodes with one stacked expression per round.
 weight stack; :func:`train` is its one-cell case. Each fedsgd (node, round)
 mini-batch is drawn once and shared by all cells of a grid, and each cell's
 result is bitwise identical to training it alone.
+
+Each call builds one per-run context before its first round. The context
+runs the input checks once (shapes, an empty split naming its node) and
+holds what every round shares: the per-cell eta and alpha, the Laplacians,
+each node's training arrays and whether it draws a mini-batch, the stacked
+``train_gram`` statistics and fedavg2's system matrices. A round then only
+steps the weights, through the same unchecked kernels that
+:func:`~fedgtv.model_core.mse_gradient`, :func:`~fedgtv.model_core.mse_loss`
+and :func:`~fedgtv.model_core.proximal_step_gram` call after their checks.
+The public round functions build the same context and take one step, so
+they are the one-round case of the training loop. Nothing is cached between
+calls.
 """
 from __future__ import annotations
 
@@ -36,7 +48,19 @@ import numpy as np
 from .data_pipeline import LocalDataset
 from .empirical_graph import EmpiricalGraph
 from .errors import DegenerateInputError, FedGTVError, ParameterError, ShapeError
-from .model_core import mse_gradient, mse_loss, proximal_step_gram
+# The rounds call the unchecked kernels; mse_gradient and proximal_step_gram
+# stay importable here because the benchmark's tracer wraps them at this path.
+from .model_core import (  # noqa: F401
+    _as_weights,
+    _as_xy,
+    _gradient_sum,
+    _mse_rows,
+    _proximal_solve,
+    _proximal_system,
+    mse_gradient,
+    mse_loss,
+    proximal_step_gram,
+)
 
 
 class Algorithm(str, Enum):
@@ -110,9 +134,14 @@ def _as_stack(weights, datasets, graph: EmpiricalGraph | None = None) -> np.ndar
     return W
 
 
-def _edge_penalty(W: np.ndarray, graph: EmpiricalGraph) -> float:
-    """Sum of ``||w_i - w_j||^2`` over the undirected edges, each counted once."""
-    ii, jj = np.nonzero(np.triu(graph.adjacency))
+def _edges(graph: EmpiricalGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint indices ``(i, j)`` of the undirected edges, each edge once."""
+    return np.nonzero(np.triu(graph.adjacency))
+
+
+def _edge_penalty(W: np.ndarray, edges: tuple[np.ndarray, np.ndarray]) -> float:
+    """Sum of ``||w_i - w_j||^2`` over the :func:`_edges` of a graph."""
+    ii, jj = edges
     diff = W[ii] - W[jj]
     return float(np.sum(diff * diff))
 
@@ -126,14 +155,14 @@ def gtv_objective(weights, datasets: Sequence[LocalDataset], graph: EmpiricalGra
     """
     W = _as_stack(weights, datasets, graph)
     total = sum(mse_loss(*ds.train, W[i]) for i, ds in enumerate(datasets))
-    return total + alpha * _edge_penalty(W, graph)
+    return total + alpha * _edge_penalty(W, _edges(graph))
 
 
 _Configs = OptimizerConfig | Sequence[OptimizerConfig]
 
 
 def _cells(weights, datasets: Sequence[LocalDataset], config: _Configs):
-    """(C, n, d) stack, shared config, per-cell eta and alpha, and whether one (n, d) cell came in."""
+    """(C, n, d) stack, the C configs, and whether one (n, d) cell came in."""
     single = isinstance(config, OptimizerConfig)
     configs = (config,) if single else tuple(config)
     W = _as_stack(weights, datasets)[None] if single else np.asarray(weights, dtype=float)
@@ -141,8 +170,95 @@ def _cells(weights, datasets: Sequence[LocalDataset], config: _Configs):
         raise ShapeError(f"expected a ({len(configs)}, {len(datasets)}, d) stack, got {W.shape}")
     if len({(c.algorithm, c.batch_size, c.seed, c.max_iterations, c.trace_every) for c in configs}) != 1:
         raise ParameterError("a cell stack needs one or more cells that differ only in eta and alpha")
-    eta, alpha = np.array([(c.eta, c.alpha) for c in configs]).T
-    return W, configs[0], eta, alpha, single
+    return W, configs, single
+
+
+class _Run:
+    """The per-run context (see the module docstring) of one algorithm.
+
+    Built from the (C, n, d) weight stack ``W``, which it checks every
+    node's training split against, the cell configs and, for fedsgd, the
+    (C, n, n) or (n, n) Laplacians. :meth:`step` moves the weights one
+    round and :meth:`losses` scores them.
+    """
+
+    def __init__(self, algorithm: Algorithm, W: np.ndarray, datasets, configs, laplacians=None):
+        shared = configs[0]
+        self.algorithm = algorithm
+        eta, alpha = np.array([(c.eta, c.alpha) for c in configs]).T
+        self.eta = eta[:, None, None]
+        self.train, grams = [], []
+        for i, ds in enumerate(datasets):
+            X, y = _as_xy(*ds.train)
+            _as_weights(X, W[:, i], stacked=True)
+            grams.append(ds.train_gram)  # rejects an empty split, naming the node
+            self.train.append((X, y))
+        if algorithm is Algorithm.FEDSGD:
+            if laplacians.shape[-1] != W.shape[1]:
+                raise ShapeError(f"graph has {laplacians.shape[-1]} nodes but weight stack has {W.shape[1]}")
+            self.seed, self.batch_size = shared.seed, shared.batch_size
+            self.laplacians = laplacians
+            self.two_alpha = (2.0 * alpha)[:, None, None]
+            self.nodes = [
+                (X, X.T, y, ds.node_id, self.batch_size < len(y)) for (X, y), ds in zip(self.train, datasets)
+            ]
+            self.scale = np.array([2.0 / min(len(y), self.batch_size) for _, y in self.train])[:, None]
+        elif algorithm is Algorithm.FEDAVG1:
+            self.xtx, self.xty, m = map(np.stack, zip(*grams))
+            self.two_over_m = (2.0 / m)[:, None]
+        else:
+            self.system = _proximal_system(*map(np.stack, zip(*grams)), eta[:, None])
+
+    def step(self, W: np.ndarray, k: int) -> np.ndarray:
+        """The weights after round ``k``."""
+        # not a stored bound method: that is a reference cycle, which keeps the
+        # run's arrays alive until the cyclic garbage collector runs
+        if self.algorithm is Algorithm.FEDSGD:
+            return self._fedsgd(W, k)
+        if self.algorithm is Algorithm.FEDAVG1:
+            return self._fedavg1(W)
+        return self._fedavg2(W)
+
+    def _fedsgd(self, W: np.ndarray, k: int) -> np.ndarray:
+        grad = np.empty_like(W)
+        for i, (X, Xt, y, node_id, sample) in enumerate(self.nodes):
+            if sample:
+                rng = np.random.default_rng([self.seed, node_id, k])
+                batch = np.sort(rng.choice(len(y), size=self.batch_size, replace=False))
+                X, y = X[batch], y[batch]
+                Xt = X.T
+            grad[:, i] = _gradient_sum(X, Xt, y, W[:, i])
+        grad *= self.scale
+        return W - self.eta * (grad + self.two_alpha * (self.laplacians @ W))
+
+    def _fedavg1(self, W: np.ndarray) -> np.ndarray:
+        grad = self.two_over_m * ((self.xtx @ W[..., None])[..., 0] - self.xty)
+        return _average(W - self.eta * grad)
+
+    def _fedavg2(self, W: np.ndarray) -> np.ndarray:
+        return _average(_proximal_solve(self.system, W))
+
+    def losses(self, W: np.ndarray) -> np.ndarray:
+        """(C, n) full-batch train MSE: one stacked residual per node over the cells."""
+        out = np.empty(W.shape[:2])
+        for i, (X, y) in enumerate(self.train):
+            out[:, i] = _mse_rows(X, y, W[:, i])
+        return out
+
+
+def _average(W: np.ndarray) -> np.ndarray:
+    """Every node row replaced by the mean over nodes, reduced in ascending node order."""
+    return np.repeat(W.mean(axis=1, keepdims=True), W.shape[1], axis=1)
+
+
+def _one_round(algorithm: Algorithm, weights, datasets, config: _Configs, round_index: int = 0, graph=None):
+    """One round of ``algorithm``: the one-round case of :func:`train_cells`'s loop."""
+    W, configs, single = _cells(weights, datasets, config)
+    laplacians = None
+    if graph is not None:
+        laplacians = graph.laplacian() if isinstance(graph, EmpiricalGraph) else np.asarray(graph, dtype=float)
+    out = _Run(algorithm, W, datasets, configs, laplacians).step(W, round_index)
+    return out[0] if single else out
 
 
 def fedsgd_round(
@@ -167,28 +283,7 @@ def fedsgd_round(
     (C, n, n) stack of their Laplacians: each node's batch is drawn once and
     every cell steps on it, bitwise as in its own single-config call.
     """
-    W, shared, eta, alpha, single = _cells(weights, datasets, config)
-    L = graph.laplacian() if isinstance(graph, EmpiricalGraph) else np.asarray(graph, dtype=float)
-    if L.shape[-1] != W.shape[1]:
-        raise ShapeError(f"graph has {L.shape[-1]} nodes but weight stack has {W.shape[1]}")
-    coupling = (2.0 * alpha)[:, None, None] * (L @ W)
-    grad = np.empty_like(W)
-    for i, ds in enumerate(datasets):
-        X, y = ds.train
-        m = ds.train_gram[2]  # rejects an empty split, naming the node
-        if shared.batch_size < m:
-            rng = np.random.default_rng([shared.seed, ds.node_id, round_index])
-            batch = np.sort(rng.choice(m, size=shared.batch_size, replace=False))
-            X, y = X[batch], y[batch]
-        grad[:, i] = mse_gradient(X, y, W[:, i])
-    new_W = W - eta[:, None, None] * (grad + coupling)
-    return new_W[0] if single else new_W
-
-
-def _train_grams(datasets: Sequence[LocalDataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack every node's cached ``train_gram`` as (n, d, d), (n, d) and (n,) arrays."""
-    xtx, xty, m = zip(*(ds.train_gram for ds in datasets))
-    return np.stack(xtx), np.stack(xty), np.array(m)
+    return _one_round(Algorithm.FEDSGD, weights, datasets, config, round_index, graph)
 
 
 def fedavg_v1_round(weights, datasets: Sequence[LocalDataset], config: _Configs) -> np.ndarray:
@@ -199,26 +294,19 @@ def fedavg_v1_round(weights, datasets: Sequence[LocalDataset], config: _Configs)
     averaged weights); the average reduces over ascending node index. Steps
     a cell stack as :func:`fedsgd_round` does.
     """
-    W, _, eta, _, single = _cells(weights, datasets, config)
-    xtx, xty, m = _train_grams(datasets)
-    grad = (2.0 / m)[:, None] * ((xtx @ W[..., None])[..., 0] - xty)
-    out = np.repeat((W - eta[:, None, None] * grad).mean(axis=1, keepdims=True), W.shape[1], axis=1)
-    return out[0] if single else out
+    return _one_round(Algorithm.FEDAVG1, weights, datasets, config)
 
 
 def fedavg_v2_round(weights, datasets: Sequence[LocalDataset], config: _Configs) -> np.ndarray:
     """One proximal-averaging round: per-node closed-form minimization of
     ``local loss + (1/eta) ||v - w_i||^2``, then averaging.
 
-    All nodes (of every cell of a stack) are solved by one stacked
-    :func:`~fedgtv.model_core.proximal_step_gram` call; each node's step,
-    before averaging, is bitwise identical to
+    All nodes (of every cell of a stack) are solved by one stacked solve, the
+    kernel of :func:`~fedgtv.model_core.proximal_step_gram`; each node's
+    step, before averaging, is bitwise identical to
     :func:`fedgtv.model_core.proximal_step` on that node's training split.
     """
-    W, _, eta, _, single = _cells(weights, datasets, config)
-    stepped = proximal_step_gram(*_train_grams(datasets), W, eta[:, None])
-    out = np.repeat(stepped.mean(axis=1, keepdims=True), W.shape[1], axis=1)
-    return out[0] if single else out
+    return _one_round(Algorithm.FEDAVG2, weights, datasets, config)
 
 
 def train_cells(
@@ -233,44 +321,45 @@ def train_cells(
     ``trace_every`` rounds and at the final round. Each fedsgd (node, round)
     mini-batch is drawn once and shared by every cell, and no arithmetic
     mixes cells, so each cell is bitwise what training it alone gives, and a
-    diverging cell leaves the others intact. Errors raised inside a round
-    are re-raised with the round index attached.
+    diverging cell leaves the others intact.
+
+    The per-run context and the edge lists of the trace's penalty are built
+    once, before the first round, so each round only steps the weights, and
+    each trace point scores every cell at a node with one stacked residual.
+    An input check that fails while the context is built is re-raised as
+    round 0's, e.g. ``round 0: node 1: empty training split``.
     """
     if len(datasets) == 0:
         raise DegenerateInputError("no datasets to train on")
     if len(graphs) != len(configs):
         raise ParameterError(f"{len(graphs)} graphs for {len(configs)} cells")
     dim = datasets[0].train[0].shape[1]
-    W, config, *_ = _cells(np.zeros((len(configs), len(datasets), dim)), datasets, configs)
-    algorithm = config.algorithm
-    if algorithm is Algorithm.FEDSGD:
+    W, configs, _ = _cells(np.zeros((len(configs), len(datasets), dim)), datasets, configs)
+    config = configs[0]
+    laplacians = edges = None
+    if config.algorithm is Algorithm.FEDSGD:
         if None in graphs:
             raise ParameterError("fedsgd requires an empirical graph")
         laplacians = np.stack([g.laplacian() for g in graphs])
+        edges = [_edges(g) for g in graphs]
+    try:
+        run = _Run(config.algorithm, W, datasets, configs, laplacians)
+    except FedGTVError as exc:
+        raise type(exc)(f"round 0: {exc}") from exc
     traces = [TrainingTrace() for _ in configs]
     for k in range(config.max_iterations):
-        try:
-            if algorithm is Algorithm.FEDSGD:
-                W = fedsgd_round(W, datasets, laplacians, configs, k)
-            elif algorithm is Algorithm.FEDAVG1:
-                W = fedavg_v1_round(W, datasets, configs)
-            else:
-                W = fedavg_v2_round(W, datasets, configs)
-        except FedGTVError as exc:
-            raise type(exc)(f"round {k}: {exc}") from exc
+        W = run.step(W, k)
         if (k + 1) % config.trace_every == 0 or k + 1 == config.max_iterations:
+            losses = run.losses(W)
             for c, trace in enumerate(traces):
-                losses = np.array(
-                    [mse_loss(ds.train[0], ds.train[1], W[c, i]) for i, ds in enumerate(datasets)]
-                )
-                if algorithm is Algorithm.FEDSGD:
+                if edges is not None:
                     # gtv_objective's sum, without its second pass over the losses
-                    value = sum(losses.tolist()) + configs[c].alpha * _edge_penalty(W[c], graphs[c])
+                    value = sum(losses[c].tolist()) + configs[c].alpha * _edge_penalty(W[c], edges[c])
                 else:
-                    value = float(losses.mean())
+                    value = float(losses[c].mean())
                 trace.rounds.append(k + 1)
                 trace.objective.append(value)
-                trace.node_losses.append(losses)
+                trace.node_losses.append(losses[c])
     return W, traces
 
 

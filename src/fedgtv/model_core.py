@@ -33,14 +33,35 @@ def _as_weights(X, w, stacked: bool = False) -> np.ndarray:
     return w
 
 
+def _mse_rows(X, y, W) -> list[float]:
+    """:func:`mse_loss` of each row of a (C, d) weight stack, unchecked.
+
+    One stacked residual ``y - X w`` (a matrix-vector product per row; a
+    matrix product would sum in another order), then one dot per row, so
+    each value is bitwise the one-row call's, also for a non-contiguous
+    slice ``W[:, i]`` of a larger stack.
+    """
+    R = y - np.matmul(X, W[..., None])[..., 0]
+    return [float(r @ r) / X.shape[0] for r in R]
+
+
 def mse_loss(X, y, w) -> float:
     """Mean squared error ``(1/m) * ||y - X w||^2``."""
     X, y = _as_xy(X, y)
     w = _as_weights(X, w)
     if X.shape[0] == 0:
         raise DegenerateInputError("MSE is undefined on an empty dataset")
-    r = y - X @ w
-    return float(r @ r) / X.shape[0]
+    return _mse_rows(X, y, w[None])[0]
+
+
+def _gradient_sum(X, Xt, y, w) -> np.ndarray:
+    """``X^T (X w - y)`` for each vector along the leading axes of ``w``, unchecked.
+
+    ``Xt`` is ``X.T`` (a view, so the product takes the same BLAS path).
+    """
+    r = np.matmul(X, w[..., None])[..., 0]
+    r -= y
+    return np.matmul(Xt, r[..., None])[..., 0]
 
 
 def mse_gradient(X, y, w) -> np.ndarray:
@@ -54,8 +75,7 @@ def mse_gradient(X, y, w) -> np.ndarray:
     w = _as_weights(X, w, stacked=True)
     if X.shape[0] == 0:
         raise DegenerateInputError("MSE gradient is undefined on an empty dataset")
-    r = np.matmul(X, w[..., None])[..., 0] - y
-    return (2.0 / X.shape[0]) * np.matmul(X.T, r[..., None])[..., 0]
+    return (2.0 / X.shape[0]) * _gradient_sum(X, X.T, y, w)
 
 
 def least_squares_fit(X, y) -> np.ndarray:
@@ -119,8 +139,23 @@ def proximal_step_gram(xtx, xty, m, w_anchor, eta: float | np.ndarray) -> np.nda
             f"inconsistent shapes: xtx {xtx.shape}, xty {xty.shape}, "
             f"anchor {w_anchor.shape}, m {m.shape}, eta {eta.shape}"
         )
+    return _proximal_solve(_proximal_system(xtx, xty, m, eta), w_anchor)
+
+
+def _proximal_system(xtx, xty, m, eta):
+    """The anchor-free parts of :func:`proximal_step_gram`'s system, unchecked.
+
+    Returns ``((2/m) X^T X + (2/eta) I, (2/m) X^T y, 2/eta)``, broadcast over
+    the leading axes as :func:`proximal_step_gram` describes.
+    """
     scale = (2.0 / m)[..., None]
     pull = (2.0 / eta)[..., None]
-    lhs = scale[..., None] * xtx + pull[..., None] * np.eye(d)
-    rhs = scale * xty + pull * w_anchor
+    lhs = scale[..., None] * xtx + pull[..., None] * np.eye(xtx.shape[-1])
+    return lhs, scale * xty, pull
+
+
+def _proximal_solve(system, w_anchor) -> np.ndarray:
+    """Solve a :func:`_proximal_system` around ``w_anchor``, unchecked."""
+    lhs, scaled_xty, pull = system
+    rhs = scaled_xty + pull * w_anchor
     return np.linalg.solve(lhs, rhs[..., None])[..., 0]

@@ -510,6 +510,11 @@ class TestGenerateSynthetic:
             SyntheticSpec(2, (5, 5), 3, (0, 2), ((1.0, 1.0, 1.0),))
         with pytest.raises(ParameterError):
             SyntheticSpec(2, (5, 5), 3, (0, 0), ((1.0, 1.0, 1.0),), noise_std=-0.1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match="noise_std must be non-negative and finite"):
+                SyntheticSpec(2, (5, 5), 3, (0, 0), ((1.0, 1.0, 1.0),), noise_std=bad)
+            with pytest.raises(ParameterError, match="every cluster weight must be finite"):
+                SyntheticSpec(2, (5, 5), 3, (0, 1), ((1.0, 1.0, 1.0), (1.0, bad, 1.0)))
 
 
 class TestLoadPreprocessed:

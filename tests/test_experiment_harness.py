@@ -875,6 +875,43 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("noise_std", math.nan),
+            ("noise_std", math.inf),
+            ("cluster_weights", [[2.0, math.nan, 0.5], [-2.0, 1.0, -0.5]]),
+            ("cluster_weights", [[2.0, -1.0, 0.5], [-2.0, 1.0, -math.inf]]),
+        ],
+        ids=["noise_nan", "noise_infinity", "weight_nan", "weight_minus_infinity"],
+    )
+    def test_non_finite_synthetic_spec_exits_2(self, tmp_path, key, value):
+        cfg = synthetic_config(tmp_path)
+        # json writes the non-standard NaN / Infinity tokens, which json.load accepts
+        (tmp_path / "spec.json").write_text(json.dumps(dict(SPEC_JSON, **{key: value})))
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert "config error:" in result.output and "finite" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["fedavg1", "fedavg2"])
+    def test_wrong_feature_width_exits_4(self, tmp_path, monkeypatch, algorithm):
+        def widened(spec):
+            datasets = generate_synthetic(spec)
+            X, y = datasets[1].train
+            datasets[1] = replace(datasets[1], train=(np.hstack([X, X[:, :1]]), y))
+            return datasets
+
+        monkeypatch.setattr(experiment_harness, "generate_synthetic", widened)
+        cfg = synthetic_config(tmp_path)
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(out), "--algorithm", algorithm)
+        assert result.exit_code == 4, result.output
+        assert "training error: round 0: weight vector of shape (1, 3) does not match 4 feature columns" in result.output
+        assert not out.exists()
+
     def test_percent_in_config_value_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "[data]\ncsv = a%b.csv\n")
         out = tmp_path / "out"

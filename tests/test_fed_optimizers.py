@@ -313,13 +313,65 @@ class TestStackedCells:
 
 class TestTrain:
     def test_single_round_budget(self):
+        # train_cells and train are the public round functions iterated from
+        # zeros, bitwise, for one round and for several, on a stack of cells and
+        # per cell; the nodes' training splits lie on both sides of batch_size,
+        # so some nodes draw a mini-batch and some take their whole split
+        spec = SyntheticSpec(
+            node_count=3,
+            rows_per_node=(8, 16, 40),
+            feature_dim=3,
+            cluster_assignment=(0, 0, 0),
+            cluster_weights=((1.5, 0.0, -0.5),),
+            noise_std=0.2,
+        )
+        datasets = generate_synthetic(spec)
+        batch_size = 9
+        sizes = [ds.train[0].shape[0] for ds in datasets]
+        assert min(sizes) <= batch_size < max(sizes)
+        graphs = [graph_from_edges(3, [(0, 1), (1, 2)]), graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])]
+        laplacians = np.stack([g.laplacian() for g in graphs])
+        rounds = {
+            "fedsgd": lambda W, cfg, L, k: fedsgd_round(W, datasets, L, cfg, round_index=k),
+            "fedavg1": lambda W, cfg, L, k: fedavg_v1_round(W, datasets, cfg),
+            "fedavg2": lambda W, cfg, L, k: fedavg_v2_round(W, datasets, cfg),
+        }
+        for algorithm, step in rounds.items():
+            for budget in (1, 4):
+                configs = [
+                    OptimizerConfig(algorithm, eta, alpha, batch_size=batch_size, max_iterations=budget, seed=5)
+                    for eta, alpha in ((0.02, 0.1), (0.05, 0.5))
+                ]
+                W, traces = train_cells(datasets, graphs, configs)
+                expected = np.zeros((2, 3, 3))
+                for k in range(budget):
+                    expected = step(expected, configs, laplacians, k)
+                assert np.array_equal(W, expected), (algorithm, budget)
+                for c, (graph, config) in enumerate(zip(graphs, configs)):
+                    Wc, trace = train(datasets, graph, config)
+                    alone = np.zeros((3, 3))
+                    for k in range(budget):
+                        alone = step(alone, config, graph, k)
+                    assert np.array_equal(Wc, alone) and np.array_equal(W[c], alone), (algorithm, budget, c)
+                    assert trace.rounds == traces[c].rounds == [budget]
+                    assert trace.objective == traces[c].objective
+
+    @pytest.mark.parametrize("algorithm", ["fedsgd", "fedavg1", "fedavg2"])
+    def test_wrong_feature_width_rejected(self, algorithm):
         datasets = synthetic_datasets()
+        X, y = datasets[2].train
+        datasets[2] = replace(datasets[2], train=(X[:, :2], y))
         graph = graph_from_edges(3, [(0, 1), (1, 2)])
-        config = OptimizerConfig("fedsgd", eta=0.01, alpha=0.1, max_iterations=1)
-        W, trace = train(datasets, graph, config)
-        expected = fedsgd_round(np.zeros((3, 3)), datasets, graph, config, round_index=0)
-        assert np.array_equal(W, expected)
-        assert trace.rounds == [1]
+        config = OptimizerConfig(algorithm, eta=0.05, alpha=0.1, max_iterations=3)
+        with pytest.raises(ShapeError, match="round 0: weight vector of shape .* does not match 2 feature columns"):
+            train(datasets, graph, config)
+        one_round = {
+            "fedsgd": lambda W: fedsgd_round(W, datasets, graph, config, round_index=0),
+            "fedavg1": lambda W: fedavg_v1_round(W, datasets, config),
+            "fedavg2": lambda W: fedavg_v2_round(W, datasets, config),
+        }[algorithm]
+        with pytest.raises(ShapeError, match="does not match 2 feature columns"):
+            one_round(np.zeros((3, 3)))
 
     def test_fedsgd_requires_graph(self):
         datasets = synthetic_datasets()

@@ -3,6 +3,7 @@ import pytest
 
 from fedgtv.errors import DegenerateInputError, ParameterError, ShapeError
 from fedgtv.model_core import (
+    _mse_rows,
     least_squares_fit,
     mse_gradient,
     mse_loss,
@@ -61,6 +62,24 @@ class TestMseLoss:
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeError):
             mse_loss(np.eye(2), [1.0, 2.0, 3.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("m", [1, 7, 100, 513, 3000])
+    @pytest.mark.parametrize("d", [3, 19])
+    @pytest.mark.parametrize("cells", [1, 36])
+    def test_stacked_rows_bitwise_per_cell(self, m, d, cells):
+        # the kernel behind mse_loss, the trace points and the val/test scores
+        rng = np.random.default_rng(m * 100 + d + cells)
+        X = rng.standard_normal((m, d))
+        y = rng.standard_normal(m)
+        W = rng.standard_normal((cells, 4, d))
+        for stack in (W[:, 2], np.ascontiguousarray(W[:, 2])):  # a non-contiguous node slice, and a copy
+            losses = _mse_rows(X, y, stack)
+            assert np.array_equal(losses, [mse_loss(X, y, w) for w in stack])
+            row_form = []
+            for w in stack:  # mse_loss's row-form expression before the stacked kernel
+                r = y - X @ w
+                row_form.append(float(r @ r) / m)
+            assert np.array_equal(losses, row_form)
 
 
 class TestMseGradient:
