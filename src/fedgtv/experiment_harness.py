@@ -63,10 +63,10 @@ class GridSpec:
     Defaults are the usual sweep: alpha in {1, 0.5, 0.1}, eta in
     {0.1, 0.01, 0.001}, degree in {1, 2, 3, 4}, all three algorithms. alphas
     and degrees only apply to fedsgd. Every eta must be positive and every
-    alpha non-negative, both finite. Once the node count n is known, the
-    search rejects any degree outside [1, n - 1] with ParameterError (exit 2)
-    rather than dropping it, so the default degree axis fails on data with
-    fewer than 5 nodes.
+    alpha non-negative, both finite; no axis repeats a value. Once the node
+    count n is known, the search rejects any degree outside [1, n - 1] with
+    ParameterError (exit 2) rather than dropping it, so the default degree
+    axis fails on data with fewer than 5 nodes.
     """
 
     alphas: tuple[float, ...] = (1.0, 0.5, 0.1)
@@ -89,6 +89,10 @@ class GridSpec:
         object.__setattr__(
             self, "algorithms", tuple(Algorithm(a) for a in self.algorithms)
         )
+        for axis in ("alphas", "etas", "degrees", "algorithms"):
+            values = [getattr(v, "value", v) for v in getattr(self, axis)]
+            if len(set(values)) < len(values):
+                raise ParameterError(f"grid {axis} must not repeat a value, got {', '.join(map(str, values))}")
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ starting from all-zero weights:
   per node, then averaging. No graph is used by either averaging variant
   (the implicit topology is a star around the averaging server).
 
-Both averaging variants see the data only through each node's cached
-:attr:`~fedgtv.data_pipeline.LocalDataset.train_gram` statistics and step all
-nodes with one stacked expression per round.
+All three step every node at once through its sufficient statistics: the
+cached :attr:`~fedgtv.data_pipeline.LocalDataset.train_gram` or, for a fedsgd
+node with more rows than its batch, the ``(X^T X, X^T y)`` of the batch it
+draws each round, the one per-node cost left in a round.
 
 :func:`train_cells` trains the cells of a grid in lockstep on a (cells, n, d)
 weight stack; :func:`train` is its one-cell case. Each fedsgd (node, round)
@@ -53,7 +54,7 @@ from .errors import DegenerateInputError, FedGTVError, ParameterError, ShapeErro
 from .model_core import (  # noqa: F401
     _as_weights,
     _as_xy,
-    _gradient_sum,
+    _gram_gradient,
     _mse_rows,
     _proximal_solve,
     _proximal_system,
@@ -193,21 +194,20 @@ class _Run:
             _as_weights(X, W[:, i], stacked=True)
             grams.append(ds.train_gram)  # rejects an empty split, naming the node
             self.train.append((X, y))
+        if algorithm is Algorithm.FEDAVG2:
+            self.system = _proximal_system(*map(np.stack, zip(*grams)), eta[:, None])
+            return
+        self.xtx, self.xty, m = map(np.stack, zip(*grams))
         if algorithm is Algorithm.FEDSGD:
             if laplacians.shape[-1] != W.shape[1]:
                 raise ShapeError(f"graph has {laplacians.shape[-1]} nodes but weight stack has {W.shape[1]}")
             self.seed, self.batch_size = shared.seed, shared.batch_size
             self.laplacians = laplacians
             self.two_alpha = (2.0 * alpha)[:, None, None]
-            self.nodes = [
-                (X, X.T, y, ds.node_id, self.batch_size < len(y)) for (X, y), ds in zip(self.train, datasets)
-            ]
-            self.scale = np.array([2.0 / min(len(y), self.batch_size) for _, y in self.train])[:, None]
-        elif algorithm is Algorithm.FEDAVG1:
-            self.xtx, self.xty, m = map(np.stack, zip(*grams))
-            self.two_over_m = (2.0 / m)[:, None]
-        else:
-            self.system = _proximal_system(*map(np.stack, zip(*grams)), eta[:, None])
+            # a node larger than its batch overwrites its statistics slots with the drawn batch's each round
+            self.sampled = [(i, *self.train[i], datasets[i].node_id) for i in np.flatnonzero(m > self.batch_size)]
+            m = np.minimum(m, self.batch_size)
+        self.scale = (2.0 / m)[:, None]
 
     def step(self, W: np.ndarray, k: int) -> np.ndarray:
         """The weights after round ``k``."""
@@ -220,20 +220,16 @@ class _Run:
         return self._fedavg2(W)
 
     def _fedsgd(self, W: np.ndarray, k: int) -> np.ndarray:
-        grad = np.empty_like(W)
-        for i, (X, Xt, y, node_id, sample) in enumerate(self.nodes):
-            if sample:
-                rng = np.random.default_rng([self.seed, node_id, k])
-                batch = np.sort(rng.choice(len(y), size=self.batch_size, replace=False))
-                X, y = X[batch], y[batch]
-                Xt = X.T
-            grad[:, i] = _gradient_sum(X, Xt, y, W[:, i])
-        grad *= self.scale
+        for i, X, y, node_id in self.sampled:
+            rng = np.random.default_rng([self.seed, node_id, k])
+            batch = np.sort(rng.choice(len(y), size=self.batch_size, replace=False))
+            X = X[batch]
+            self.xtx[i], self.xty[i] = X.T @ X, X.T @ y[batch]
+        grad = _gram_gradient(self.xtx, self.xty, self.scale, W)
         return W - self.eta * (grad + self.two_alpha * (self.laplacians @ W))
 
     def _fedavg1(self, W: np.ndarray) -> np.ndarray:
-        grad = self.two_over_m * ((self.xtx @ W[..., None])[..., 0] - self.xty)
-        return _average(W - self.eta * grad)
+        return _average(W - self.eta * _gram_gradient(self.xtx, self.xty, self.scale, W))
 
     def _fedavg2(self, W: np.ndarray) -> np.ndarray:
         return _average(_proximal_solve(self.system, W))
@@ -274,10 +270,10 @@ def fedsgd_round(
     depend on processing order. Mini-batches are drawn uniformly without
     replacement from a stream seeded by (seed, node_id, round_index);
     batch_size >= m falls back to the full training split, and drawn indices
-    are sorted so the summation order is fixed. The loss gradient stays in
-    row form on the drawn batch; the coupling for all nodes is one product
-    ``2 * alpha * L @ W``, whose rows are zero at nodes without neighbors, so
-    those take a plain local step.
+    are sorted so the summation order is fixed. Each loss gradient is
+    bitwise :func:`~fedgtv.model_core.mse_gradient` on the node's batch; the
+    coupling for all nodes is one product ``2 * alpha * L @ W``, whose rows
+    are zero at nodes without neighbors, so those take a plain local step.
 
     C grid cells step in lockstep given a (C, n, d) stack, C configs and a
     (C, n, n) stack of their Laplacians: each node's batch is drawn once and

@@ -54,28 +54,24 @@ def mse_loss(X, y, w) -> float:
     return _mse_rows(X, y, w[None])[0]
 
 
-def _gradient_sum(X, Xt, y, w) -> np.ndarray:
-    """``X^T (X w - y)`` for each vector along the leading axes of ``w``, unchecked.
-
-    ``Xt`` is ``X.T`` (a view, so the product takes the same BLAS path).
-    """
-    r = np.matmul(X, w[..., None])[..., 0]
-    r -= y
-    return np.matmul(Xt, r[..., None])[..., 0]
+def _gram_gradient(xtx, xty, scale, w) -> np.ndarray:
+    """``scale * (X^T X w - X^T y)`` per vector along ``w``'s leading axes (operands broadcast), unchecked."""
+    return scale * (np.matmul(xtx, w[..., None])[..., 0] - xty)
 
 
 def mse_gradient(X, y, w) -> np.ndarray:
-    """Gradient of :func:`mse_loss` in w: ``(2/m) * X^T (X w - y)``.
+    """Gradient of :func:`mse_loss` in w, in Gram form: ``(2/m) * (X^T X w - X^T y)``.
 
+    ``X^T X`` and ``X^T y`` are formed as ``train_gram`` forms them, so a
+    training round on cached or per-batch statistics is bitwise this call.
     Broadcasts over leading axes of ``w`` with one matrix-vector product per
-    vector (a matrix product would sum in another order), so each result is
-    bitwise the 1-D call's.
+    vector, so each result is bitwise the 1-D call's.
     """
     X, y = _as_xy(X, y)
     w = _as_weights(X, w, stacked=True)
     if X.shape[0] == 0:
         raise DegenerateInputError("MSE gradient is undefined on an empty dataset")
-    return (2.0 / X.shape[0]) * _gradient_sum(X, X.T, y, w)
+    return _gram_gradient(X.T @ X, X.T @ y, 2.0 / X.shape[0], w)
 
 
 def least_squares_fit(X, y) -> np.ndarray:

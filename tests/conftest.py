@@ -1,0 +1,30 @@
+import numpy as np
+import pytest
+
+from fedgtv.data_pipeline import FEATURE_DIM, engineer_features
+
+
+@pytest.fixture
+def public_design():
+    """Factory of ``(X, y)`` in the public 19-column feature layout.
+
+    The six one-hot rcount slots sum to the intercept column, so every such
+    design has rank 18: ``X`` has a null direction that a gradient step can
+    neither remove nor should add to.
+    """
+
+    def make(rng, m):
+        block = np.column_stack(
+            [
+                rng.integers(0, 6, m),  # rcount slot
+                rng.integers(0, 2, (m, 2)),  # gender, hemo
+                rng.standard_normal((m, 9)),  # the numerics, already z-scored
+                rng.integers(0, 6, m),  # n_conditions
+                rng.gamma(2.0, 2.0, m),  # length of stay
+            ]
+        ).astype(float)
+        X, y = engineer_features(block)
+        assert X.shape[1] == FEATURE_DIM and np.linalg.matrix_rank(X) == FEATURE_DIM - 1
+        return X, y
+
+    return make

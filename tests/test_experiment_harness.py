@@ -140,6 +140,21 @@ class TestGridSpec:
         with pytest.raises(ParameterError):
             GridSpec(degrees=(1.5,))
 
+    @pytest.mark.parametrize(
+        "axis, values, shown",
+        [
+            ("alphas", (0.1, 1.0, 0.1), "0.1, 1.0, 0.1"),
+            ("alphas", (0.0, -0.0), "0.0, -0.0"),
+            ("etas", (0.1, 0.1), "0.1, 0.1"),
+            ("degrees", (2, 2.0), "2, 2"),
+            ("algorithms", ("fedsgd", Algorithm.FEDSGD), "fedsgd, fedsgd"),
+        ],
+    )
+    def test_repeated_axis_value_rejected(self, axis, values, shown):
+        with pytest.raises(ParameterError) as excinfo:
+            GridSpec(**{axis: values})
+        assert str(excinfo.value) == f"grid {axis} must not repeat a value, got {shown}"
+
 
 class TestEvaluate:
     def test_zero_weights_score_label_second_moment(self):
@@ -944,6 +959,22 @@ class TestCli:
         out = tmp_path / "out"
         result = self.run_cli("grid", "--config", str(cfg), "--out", str(out))
         assert result.exit_code == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("alphas", "0.1, 1.0, 0.1"), ("etas", "0.05, 0.05"), ("degrees", "2, 2"), ("algorithms", "fedsgd, fedavg1, fedsgd")],
+    )
+    def test_repeated_grid_value_exits_2(self, tmp_path, key, value):
+        write_spec(tmp_path)
+        grid = {"alphas": "0.1", "etas": "0.05", "degrees": "2", "algorithms": "fedsgd", key: value}
+        body = "[data]\nsynthetic = spec.json\n\n[optimizer]\nmax_iterations = 5\n\n[grid]\n"
+        cfg = write_config(tmp_path, body + "".join(f"{k} = {v}\n" for k, v in grid.items()))
+        out = tmp_path / "out"
+        result = self.run_cli("grid", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert f"config error: [grid] grid {key} must not repeat a value, got {value}" in result.output
+        assert "Traceback" not in result.output
         assert not out.exists()
 
     def test_seed_override_changes_splits(self, tmp_path):

@@ -125,6 +125,29 @@ class TestFedsgdRound:
             expected = W[i] - 0.05 * mse_gradient(*ds.train, W[i])
             assert np.array_equal(out[i], expected)
 
+    def test_sampled_node_steps_on_its_drawn_batch(self):
+        # the README's mini-batch stream: sorted indices drawn without replacement
+        # from default_rng([seed, node_id, round]), shared by every cell of a stack
+        datasets = synthetic_datasets(rows=60)
+        L = graph_from_edges(3, [(0, 1), (1, 2)]).laplacian()
+        configs = [
+            OptimizerConfig("fedsgd", eta=eta, alpha=alpha, batch_size=5, seed=7)
+            for eta, alpha in ((0.01, 0.1), (0.05, 1.0))
+        ]
+        W = np.random.default_rng(4).standard_normal((2, 3, 3))
+        for k in (3, 4):
+            out = fedsgd_round(W, datasets, np.stack([L, L]), configs, round_index=k)
+            for c, config in enumerate(configs):
+                coupling = 2 * config.alpha * (L @ W[c])
+                for i, ds in enumerate(datasets):
+                    X, y = ds.train
+                    assert len(y) > config.batch_size
+                    rng = np.random.default_rng([config.seed, ds.node_id, k])
+                    batch = np.sort(rng.choice(len(y), config.batch_size, replace=False))
+                    grad = mse_gradient(X[batch], y[batch], W[c, i])
+                    assert np.array_equal(out[c, i], W[c, i] - config.eta * (grad + coupling[i])), (k, c, i)
+            W = out
+
     def test_two_node_contraction_factor_exact(self):
         # zero data gradient: X = 0 keeps the local loss flat
         datasets = [make_ds(np.zeros((2, 1)), np.zeros(2), i + 1) for i in range(2)]
@@ -412,6 +435,24 @@ class TestTrain:
         assert trace.objective[-1] == gtv_objective(W, datasets, graph, 0.2)
         losses = [mse_loss(*ds.train, W[i]) for i, ds in enumerate(datasets)]
         assert np.array_equal(trace.node_losses[-1], losses)
+
+    def test_full_batch_tracks_row_form_on_public_layout(self, public_design):
+        # the null direction of the rank-18 layout (rcount slots minus intercept)
+        # is never damped, so a Gram-form step must not drift along it over many
+        # rounds: compare against the row-form gradient (2/m) X^T (X w - y)
+        rng = np.random.default_rng(17)
+        datasets = [make_ds(*public_design(rng, m), node_id=i + 1) for i, m in enumerate((300, 450, 600, 380))]
+        graph = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        config = OptimizerConfig("fedsgd", eta=0.05, alpha=0.2, batch_size=10_000, max_iterations=1000)
+        W, _ = train(datasets, graph, config)
+        L = graph.laplacian()
+        expected = np.zeros((4, 19))
+        for _ in range(1000):
+            grad = np.array(
+                [(2.0 / len(y)) * (X.T @ (X @ w - y)) for (X, y), w in zip((ds.train for ds in datasets), expected)]
+            )
+            expected = expected - 0.05 * (grad + 0.4 * (L @ expected))
+        assert np.linalg.norm(W - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_mean_loss_trace_for_averaging_variants(self):
         datasets = synthetic_datasets()

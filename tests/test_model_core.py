@@ -98,6 +98,19 @@ class TestMseGradient:
                 for idx in np.ndindex(stack.shape[:-1]):
                     assert np.array_equal(out[idx], mse_gradient(X, y, stack[idx]))
 
+    def test_gram_form_matches_row_form(self, public_design):
+        # (2/m)(X^T X w - X^T y) against (2/m) X^T (X w - y), relative to the
+        # row form's own scale, on random designs and on the rank-18 public layout
+        rng = np.random.default_rng(21)
+        designs = [(rng.standard_normal((m, d)), rng.standard_normal(m)) for m, d in ((1, 1), (7, 3), (512, 19), (3000, 40))]
+        designs += [public_design(rng, m) for m in (40, 512, 5000)]
+        for X, y in designs:
+            for w in rng.standard_normal((5, X.shape[1])):
+                r = X @ w - y
+                row = (2.0 / len(y)) * (X.T @ r)
+                scale = (2.0 / len(y)) * np.linalg.norm(X, 2) * np.linalg.norm(r)
+                assert np.linalg.norm(mse_gradient(X, y, w) - row) <= 1e-12 * scale
+
     def test_stack_shape_mismatch(self):
         with pytest.raises(ShapeError):
             mse_gradient(np.eye(2), [1.0, 2.0], np.zeros((4, 3)))
