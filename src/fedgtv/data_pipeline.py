@@ -270,19 +270,23 @@ def normalize(dataset: LocalDataset) -> LocalDataset:
     Uses the population standard deviation (divide by m), so a normalized
     training column has mean 0 and std exactly 1. Validation and test reuse
     the training statistics; labels and non-numeric columns pass through.
-    Returns a new dataset; the input is not modified.
+    A column whose training std is zero or whose mean or std is not finite
+    (values near 1e300 overflow the std) raises ConstantFeatureError naming
+    the feature and the node. Returns a new dataset; the input is untouched.
     """
     X_train, _ = dataset.train
     if X_train.shape[0] == 0:
         raise DegenerateInputError("cannot normalize an empty training split")
     cols = np.asarray(dataset.numeric_columns, dtype=int)
-    means = X_train[:, cols].mean(axis=0)
-    stds = X_train[:, cols].std(axis=0)
-    for col, std in zip(cols, stds):
-        if std == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic is rejected below
+        means = X_train[:, cols].mean(axis=0)
+        stds = X_train[:, cols].std(axis=0)
+    for col, mean, std in zip(cols, means, stds):
+        if std == 0.0 or not np.isfinite([mean, std]).all():
             name = dataset.feature_names[col] if dataset.feature_names else f"column {col}"
+            fault = "is constant" if std == 0.0 else "has a non-finite mean or std"
             raise ConstantFeatureError(
-                f"feature {name!r} is constant on the training split of node {dataset.node_id}"
+                f"feature {name!r} {fault} on the training split of node {dataset.node_id}"
             )
 
     def rescale(split):

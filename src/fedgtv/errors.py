@@ -18,7 +18,7 @@ class SplitError(FedGTVError):
 
 
 class ConstantFeatureError(FedGTVError):
-    """A feature column is constant on the training split (zero std)."""
+    """A feature column is constant (zero std) or has a non-finite mean or std on the training split."""
 
 
 class ShapeError(FedGTVError):

@@ -49,9 +49,9 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
-from .fed_optimizers import Algorithm, OptimizerConfig, TrainingTrace, train, train_cells
+from .fed_optimizers import Algorithm, OptimizerConfig, TrainingTrace, _losses, _split_parts, train, train_cells
 # mse_loss stays importable here: the benchmark's tracer wraps it at this path.
-from .model_core import _as_weights, _as_xy, _mse_rows, mse_loss  # noqa: F401
+from .model_core import mse_loss  # noqa: F401
 
 ALL_ALGORITHMS = (Algorithm.FEDSGD, Algorithm.FEDAVG1, Algorithm.FEDAVG2)
 
@@ -178,21 +178,6 @@ def _fmt_param(v) -> str:
     return f"{v:g}"
 
 
-def _split_mse(W: np.ndarray, datasets: Sequence[LocalDataset], split: str) -> np.ndarray:
-    """(C, n) MSE of every cell of a (C, n, d) stack at every node's split; NaN where it is empty.
-
-    Each node's split is checked against the stack once and scored with one
-    stacked residual over the cells, bitwise the per-cell :func:`mse_loss`.
-    """
-    out = np.full(W.shape[:2], np.nan)
-    for i, ds in enumerate(datasets):
-        X, y = _as_xy(*ds.split(split))
-        _as_weights(X, W[:, i], stacked=True)
-        if X.shape[0]:
-            out[:, i] = _mse_rows(X, y, W[:, i])
-    return out
-
-
 def evaluate(
     weights,
     datasets: Sequence[LocalDataset],
@@ -204,13 +189,11 @@ def evaluate(
     Returns a single-block report; callers assembling multi-algorithm reports
     concatenate the blocks.
     """
-    W = np.asarray(weights, dtype=float)
-    if W.ndim != 2 or W.shape[0] != len(datasets):
-        raise ParameterError(
-            f"need one weight row per dataset, got shape {W.shape} for {len(datasets)} nodes"
-        )
+    W = np.asarray(weights, dtype=float)[None]
+    if W.ndim != 3 or W.shape[1] != len(datasets):
+        raise ParameterError(f"need one weight row per dataset, got shape {W.shape[1:]} for {len(datasets)} nodes")
     train_mse, val_mse, test_mse = (
-        tuple(_split_mse(W[None], datasets, split)[0].tolist()) for split in ("train", "val", "test")
+        tuple(_losses(_split_parts(datasets, split, W), W)[0].tolist()) for split in ("train", "val", "test")
     )
     block = AlgorithmMetrics(
         algorithm=algorithm,
@@ -339,7 +322,7 @@ def run_grid_search(
         configs = [OptimizerConfig(algorithm, eta, alpha or 0.0, **settings) for eta, alpha, *_ in live]
         W, traces = train_cells(datasets, [s[3] for s in live], configs) if live else ((), ())
         fits = {s[:3]: (w, trace, s[3]) for s, w, trace in zip(live, W, traces)}
-        val = _split_mse(W, datasets, "val") if live else ()
+        val = _losses(_split_parts(datasets, "val", W), W) if live else ()
         val_mse = {s[:3]: float(np.mean(row)) for s, row in zip(live, val)}
         algo_cells = [
             GridCell(algorithm.value, eta, alpha, d, connected, val_mse.get((eta, alpha, d)))
@@ -401,6 +384,14 @@ def _algorithms(raw: str) -> tuple[Algorithm, ...]:
     return ALL_ALGORITHMS if raw.strip() == "all" else _list_of(Algorithm)(raw)
 
 
+def _run_algorithms(raw: str) -> tuple[Algorithm, ...]:
+    """:func:`_algorithms` without a repeat: ``run`` would train and report a repeat twice."""
+    algorithms = _algorithms(raw)
+    if len(set(algorithms)) < len(algorithms):
+        raise ValueError(f"must not repeat a value, got {', '.join(a.value for a in algorithms)}")
+    return algorithms
+
+
 def _seed(raw: str) -> int:
     seed = int(raw)
     if seed < 0:
@@ -418,7 +409,7 @@ _CONFIG_KEYS = {
     ("preprocess", "seed"): ("seed", _seed),
     ("preprocess", "condition_columns"): ("condition_columns", _list_of(str)),
     ("graph", "degree"): ("degree", int),
-    ("optimizer", "algorithm"): ("algorithms", _algorithms),
+    ("optimizer", "algorithm"): ("algorithms", _run_algorithms),
     ("optimizer", "eta"): ("eta", float),
     ("optimizer", "alpha"): ("alpha", float),
     ("optimizer", "batch_size"): ("batch_size", int),

@@ -21,21 +21,21 @@ node with more rows than its batch, the ``(X^T X, X^T y)`` of the batch it
 draws each round, the one per-node cost left in a round.
 
 :func:`train_cells` trains the cells of a grid in lockstep on a (cells, n, d)
-weight stack; :func:`train` is its one-cell case. Each fedsgd (node, round)
+weight stack; it is the one stacked path. :func:`train`, the round functions
+and :func:`gtv_objective` take one (n, d) stack. Each fedsgd (node, round)
 mini-batch is drawn once and shared by all cells of a grid, and each cell's
 result is bitwise identical to training it alone.
 
-Each call builds one per-run context before its first round. The context
-runs the input checks once (shapes, an empty split naming its node) and
-holds what every round shares: the per-cell eta and alpha, the Laplacians,
-each node's training arrays and whether it draws a mini-batch, the stacked
-``train_gram`` statistics and fedavg2's system matrices. A round then only
-steps the weights, through the same unchecked kernels that
-:func:`~fedgtv.model_core.mse_gradient`, :func:`~fedgtv.model_core.mse_loss`
-and :func:`~fedgtv.model_core.proximal_step_gram` call after their checks.
-The public round functions build the same context and take one step, so
-they are the one-round case of the training loop. Nothing is cached between
-calls.
+Each call builds one per-run context before its first round. It runs the
+input checks once (shapes, an empty split naming its node) and holds what
+every round shares: the per-cell eta and alpha, the Laplacians, each node's
+checked training arrays, the stacked ``train_gram`` statistics and fedavg2's
+system matrices. A round then only steps the weights, through the unchecked
+kernels that :func:`~fedgtv.model_core.mse_gradient`,
+:func:`~fedgtv.model_core.mse_loss` and
+:func:`~fedgtv.model_core.proximal_step_gram` call after their checks. A
+public round builds the same context for one cell and takes one step.
+Nothing is cached between calls.
 """
 from __future__ import annotations
 
@@ -49,8 +49,9 @@ import numpy as np
 from .data_pipeline import LocalDataset
 from .empirical_graph import EmpiricalGraph
 from .errors import DegenerateInputError, FedGTVError, ParameterError, ShapeError
-# The rounds call the unchecked kernels; mse_gradient and proximal_step_gram
-# stay importable here because the benchmark's tracer wraps them at this path.
+# The rounds call the unchecked kernels; mse_gradient, mse_loss and
+# proximal_step_gram stay importable here because the benchmark's tracer wraps
+# them at this path.
 from .model_core import (  # noqa: F401
     _as_weights,
     _as_xy,
@@ -136,15 +137,32 @@ def _as_stack(weights, datasets, graph: EmpiricalGraph | None = None) -> np.ndar
 
 
 def _edges(graph: EmpiricalGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint indices ``(i, j)`` of the undirected edges, each edge once."""
-    return np.nonzero(np.triu(graph.adjacency))
+    """Endpoint index arrays ``(i, j)`` of :meth:`EmpiricalGraph.edges`, each edge once."""
+    return tuple(np.array(graph.edges(), dtype=int).reshape(-1, 2).T)
 
 
-def _edge_penalty(W: np.ndarray, edges: tuple[np.ndarray, np.ndarray]) -> float:
-    """Sum of ``||w_i - w_j||^2`` over the :func:`_edges` of a graph."""
+def _gtv(losses: np.ndarray, W: np.ndarray, edges, alpha: float) -> float:
+    """One cell's GTV objective: its node ``losses`` summed, plus ``alpha`` times its :func:`_edges` penalty."""
     ii, jj = edges
     diff = W[ii] - W[jj]
-    return float(np.sum(diff * diff))
+    return sum(losses.tolist()) + alpha * float(np.sum(diff * diff))
+
+
+def _split_parts(datasets: Sequence[LocalDataset], split: str, W: np.ndarray) -> list[tuple]:
+    """Every node's ``split`` arrays ``(X, y)``, each checked against its (C, d) slice of the (C, n, d) ``W``."""
+    parts = [_as_xy(*ds.split(split)) for ds in datasets]
+    for i, (X, _) in enumerate(parts):
+        _as_weights(X, W[:, i], stacked=True)
+    return parts
+
+
+def _losses(parts: Sequence[tuple], W: np.ndarray) -> np.ndarray:
+    """(C, n) ``mse_loss`` of each cell of ``W`` at each node's part, NaN where the part is empty; unchecked."""
+    out = np.full(W.shape[:2], np.nan)
+    for i, (X, y) in enumerate(parts):
+        if len(y):
+            out[:, i] = _mse_rows(X, y, W[:, i])
+    return out
 
 
 def gtv_objective(weights, datasets: Sequence[LocalDataset], graph: EmpiricalGraph, alpha: float) -> float:
@@ -154,33 +172,21 @@ def gtv_objective(weights, datasets: Sequence[LocalDataset], graph: EmpiricalGra
     consequently its gradient contribution at node i is
     ``2 * alpha * sum_{j in N(i)} (w_i - w_j)``.
     """
-    W = _as_stack(weights, datasets, graph)
-    total = sum(mse_loss(*ds.train, W[i]) for i, ds in enumerate(datasets))
-    return total + alpha * _edge_penalty(W, _edges(graph))
-
-
-_Configs = OptimizerConfig | Sequence[OptimizerConfig]
-
-
-def _cells(weights, datasets: Sequence[LocalDataset], config: _Configs):
-    """(C, n, d) stack, the C configs, and whether one (n, d) cell came in."""
-    single = isinstance(config, OptimizerConfig)
-    configs = (config,) if single else tuple(config)
-    W = _as_stack(weights, datasets)[None] if single else np.asarray(weights, dtype=float)
-    if W.ndim != 3 or W.shape[:2] != (len(configs), len(datasets)):
-        raise ShapeError(f"expected a ({len(configs)}, {len(datasets)}, d) stack, got {W.shape}")
-    if len({(c.algorithm, c.batch_size, c.seed, c.max_iterations, c.trace_every) for c in configs}) != 1:
-        raise ParameterError("a cell stack needs one or more cells that differ only in eta and alpha")
-    return W, configs, single
+    W = _as_stack(weights, datasets, graph)[None]
+    parts = _split_parts(datasets, "train", W)
+    for ds, (_, y) in zip(datasets, parts):
+        if not len(y):
+            raise DegenerateInputError(f"node {ds.node_id}: empty training split")
+    return _gtv(_losses(parts, W)[0], W[0], _edges(graph), alpha)
 
 
 class _Run:
     """The per-run context (see the module docstring) of one algorithm.
 
     Built from the (C, n, d) weight stack ``W``, which it checks every
-    node's training split against, the cell configs and, for fedsgd, the
-    (C, n, n) or (n, n) Laplacians. :meth:`step` moves the weights one
-    round and :meth:`losses` scores them.
+    node's training split against, the C cell configs and, for fedsgd, the
+    (C, n, n) Laplacians. :meth:`step` moves the weights one round; the
+    checked training parts ``train`` are what :func:`_losses` scores.
     """
 
     def __init__(self, algorithm: Algorithm, W: np.ndarray, datasets, configs, laplacians=None):
@@ -188,16 +194,12 @@ class _Run:
         self.algorithm = algorithm
         eta, alpha = np.array([(c.eta, c.alpha) for c in configs]).T
         self.eta = eta[:, None, None]
-        self.train, grams = [], []
-        for i, ds in enumerate(datasets):
-            X, y = _as_xy(*ds.train)
-            _as_weights(X, W[:, i], stacked=True)
-            grams.append(ds.train_gram)  # rejects an empty split, naming the node
-            self.train.append((X, y))
+        self.train = _split_parts(datasets, "train", W)
+        # train_gram rejects an empty split, naming the node
+        self.xtx, self.xty, m = map(np.stack, zip(*[ds.train_gram for ds in datasets]))
         if algorithm is Algorithm.FEDAVG2:
-            self.system = _proximal_system(*map(np.stack, zip(*grams)), eta[:, None])
+            self.system = _proximal_system(self.xtx, self.xty, m, eta[:, None])
             return
-        self.xtx, self.xty, m = map(np.stack, zip(*grams))
         if algorithm is Algorithm.FEDSGD:
             if laplacians.shape[-1] != W.shape[1]:
                 raise ShapeError(f"graph has {laplacians.shape[-1]} nodes but weight stack has {W.shape[1]}")
@@ -216,8 +218,8 @@ class _Run:
         if self.algorithm is Algorithm.FEDSGD:
             return self._fedsgd(W, k)
         if self.algorithm is Algorithm.FEDAVG1:
-            return self._fedavg1(W)
-        return self._fedavg2(W)
+            return _average(W - self.eta * _gram_gradient(self.xtx, self.xty, self.scale, W))
+        return _average(_proximal_solve(self.system, W))
 
     def _fedsgd(self, W: np.ndarray, k: int) -> np.ndarray:
         for i, X, y, node_id in self.sampled:
@@ -228,43 +230,23 @@ class _Run:
         grad = _gram_gradient(self.xtx, self.xty, self.scale, W)
         return W - self.eta * (grad + self.two_alpha * (self.laplacians @ W))
 
-    def _fedavg1(self, W: np.ndarray) -> np.ndarray:
-        return _average(W - self.eta * _gram_gradient(self.xtx, self.xty, self.scale, W))
-
-    def _fedavg2(self, W: np.ndarray) -> np.ndarray:
-        return _average(_proximal_solve(self.system, W))
-
-    def losses(self, W: np.ndarray) -> np.ndarray:
-        """(C, n) full-batch train MSE: one stacked residual per node over the cells."""
-        out = np.empty(W.shape[:2])
-        for i, (X, y) in enumerate(self.train):
-            out[:, i] = _mse_rows(X, y, W[:, i])
-        return out
-
 
 def _average(W: np.ndarray) -> np.ndarray:
     """Every node row replaced by the mean over nodes, reduced in ascending node order."""
     return np.repeat(W.mean(axis=1, keepdims=True), W.shape[1], axis=1)
 
 
-def _one_round(algorithm: Algorithm, weights, datasets, config: _Configs, round_index: int = 0, graph=None):
-    """One round of ``algorithm``: the one-round case of :func:`train_cells`'s loop."""
-    W, configs, single = _cells(weights, datasets, config)
-    laplacians = None
-    if graph is not None:
-        laplacians = graph.laplacian() if isinstance(graph, EmpiricalGraph) else np.asarray(graph, dtype=float)
-    out = _Run(algorithm, W, datasets, configs, laplacians).step(W, round_index)
-    return out[0] if single else out
+def _one_round(algorithm: Algorithm, weights, datasets, config: OptimizerConfig, round_index: int = 0, graph=None):
+    """One round of ``algorithm`` for one cell: the one-round case of :func:`train_cells`'s loop."""
+    W = _as_stack(weights, datasets, graph)[None]
+    laplacians = None if graph is None else graph.laplacian()[None]
+    return _Run(algorithm, W, datasets, [config], laplacians).step(W, round_index)[0]
 
 
 def fedsgd_round(
-    weights,
-    datasets: Sequence[LocalDataset],
-    graph: EmpiricalGraph | np.ndarray,
-    config: _Configs,
-    round_index: int,
+    weights, datasets: Sequence[LocalDataset], graph: EmpiricalGraph, config: OptimizerConfig, round_index: int
 ) -> np.ndarray:
-    """One synchronous fedsgd round; returns the next weight stack.
+    """One synchronous fedsgd round of an (n, d) weight stack; returns the next stack.
 
     Every node reads only ``weights`` (round-k values), so the result does not
     depend on processing order. Mini-batches are drawn uniformly without
@@ -274,32 +256,27 @@ def fedsgd_round(
     bitwise :func:`~fedgtv.model_core.mse_gradient` on the node's batch; the
     coupling for all nodes is one product ``2 * alpha * L @ W``, whose rows
     are zero at nodes without neighbors, so those take a plain local step.
-
-    C grid cells step in lockstep given a (C, n, d) stack, C configs and a
-    (C, n, n) stack of their Laplacians: each node's batch is drawn once and
-    every cell steps on it, bitwise as in its own single-config call.
     """
     return _one_round(Algorithm.FEDSGD, weights, datasets, config, round_index, graph)
 
 
-def fedavg_v1_round(weights, datasets: Sequence[LocalDataset], config: _Configs) -> np.ndarray:
+def fedavg_v1_round(weights, datasets: Sequence[LocalDataset], config: OptimizerConfig) -> np.ndarray:
     """One projected-gradient round: per-node full-batch step, then average.
 
     All nodes step at once with the Gram-form gradient
     ``(2/m) (X^T X w - X^T y)``. Returns a stack of n identical rows (the
-    averaged weights); the average reduces over ascending node index. Steps
-    a cell stack as :func:`fedsgd_round` does.
+    averaged weights); the average reduces over ascending node index.
     """
     return _one_round(Algorithm.FEDAVG1, weights, datasets, config)
 
 
-def fedavg_v2_round(weights, datasets: Sequence[LocalDataset], config: _Configs) -> np.ndarray:
+def fedavg_v2_round(weights, datasets: Sequence[LocalDataset], config: OptimizerConfig) -> np.ndarray:
     """One proximal-averaging round: per-node closed-form minimization of
     ``local loss + (1/eta) ||v - w_i||^2``, then averaging.
 
-    All nodes (of every cell of a stack) are solved by one stacked solve, the
-    kernel of :func:`~fedgtv.model_core.proximal_step_gram`; each node's
-    step, before averaging, is bitwise identical to
+    All nodes are solved by one stacked solve, the kernel of
+    :func:`~fedgtv.model_core.proximal_step_gram`; each node's step, before
+    averaging, is bitwise identical to
     :func:`fedgtv.model_core.proximal_step` on that node's training split.
     """
     return _one_round(Algorithm.FEDAVG2, weights, datasets, config)
@@ -319,18 +296,20 @@ def train_cells(
     mixes cells, so each cell is bitwise what training it alone gives, and a
     diverging cell leaves the others intact.
 
-    The per-run context and the edge lists of the trace's penalty are built
-    once, before the first round, so each round only steps the weights, and
-    each trace point scores every cell at a node with one stacked residual.
-    An input check that fails while the context is built is re-raised as
-    round 0's, e.g. ``round 0: node 1: empty training split``.
+    The cells must differ only in eta and alpha. The per-run context and the
+    edge lists of the trace's penalty are built once, before the first
+    round, so each round only steps the weights, and each trace point scores
+    the context's checked training parts, every cell at a node with one
+    stacked residual. An input check that fails while the context is built
+    is re-raised as round 0's, e.g. ``round 0: node 1: empty training split``.
     """
     if len(datasets) == 0:
         raise DegenerateInputError("no datasets to train on")
     if len(graphs) != len(configs):
         raise ParameterError(f"{len(graphs)} graphs for {len(configs)} cells")
-    dim = datasets[0].train[0].shape[1]
-    W, configs, _ = _cells(np.zeros((len(configs), len(datasets), dim)), datasets, configs)
+    if len({(c.algorithm, c.batch_size, c.seed, c.max_iterations, c.trace_every) for c in configs}) != 1:
+        raise ParameterError("a cell stack needs one or more cells that differ only in eta and alpha")
+    W = np.zeros((len(configs), len(datasets), datasets[0].train[0].shape[1]))
     config = configs[0]
     laplacians = edges = None
     if config.algorithm is Algorithm.FEDSGD:
@@ -346,13 +325,9 @@ def train_cells(
     for k in range(config.max_iterations):
         W = run.step(W, k)
         if (k + 1) % config.trace_every == 0 or k + 1 == config.max_iterations:
-            losses = run.losses(W)
+            losses = _losses(run.train, W)
             for c, trace in enumerate(traces):
-                if edges is not None:
-                    # gtv_objective's sum, without its second pass over the losses
-                    value = sum(losses[c].tolist()) + configs[c].alpha * _edge_penalty(W[c], edges[c])
-                else:
-                    value = float(losses[c].mean())
+                value = _gtv(losses[c], W[c], edges[c], configs[c].alpha) if edges else float(losses[c].mean())
                 trace.rounds.append(k + 1)
                 trace.objective.append(value)
                 trace.node_losses.append(losses[c])
@@ -360,9 +335,7 @@ def train_cells(
 
 
 def train(
-    datasets: Sequence[LocalDataset],
-    graph: EmpiricalGraph | None,
-    config: OptimizerConfig,
+    datasets: Sequence[LocalDataset], graph: EmpiricalGraph | None, config: OptimizerConfig
 ) -> tuple[np.ndarray, TrainingTrace]:
     """:func:`train_cells` for one config; deterministic given (datasets, graph, config)."""
     W, traces = train_cells(datasets, [graph], [config])

@@ -55,7 +55,11 @@ def mse_loss(X, y, w) -> float:
 
 
 def _gram_gradient(xtx, xty, scale, w) -> np.ndarray:
-    """``scale * (X^T X w - X^T y)`` per vector along ``w``'s leading axes (operands broadcast), unchecked."""
+    """``scale * (X^T X w - X^T y)`` per vector along ``w``'s leading axes (operands broadcast), unchecked.
+
+    One matrix-vector product per vector, so each result is bitwise the
+    one-vector call's, also for a non-contiguous slice of a larger stack.
+    """
     return scale * (np.matmul(xtx, w[..., None])[..., 0] - xty)
 
 
@@ -64,11 +68,9 @@ def mse_gradient(X, y, w) -> np.ndarray:
 
     ``X^T X`` and ``X^T y`` are formed as ``train_gram`` forms them, so a
     training round on cached or per-batch statistics is bitwise this call.
-    Broadcasts over leading axes of ``w`` with one matrix-vector product per
-    vector, so each result is bitwise the 1-D call's.
     """
     X, y = _as_xy(X, y)
-    w = _as_weights(X, w, stacked=True)
+    w = _as_weights(X, w)
     if X.shape[0] == 0:
         raise DegenerateInputError("MSE gradient is undefined on an empty dataset")
     return _gram_gradient(X.T @ X, X.T @ y, 2.0 / X.shape[0], w)
@@ -106,43 +108,29 @@ def proximal_step(X, y, w_anchor, eta: float) -> np.ndarray:
     return proximal_step_gram(X.T @ X, X.T @ y, X.shape[0], w_anchor, eta)
 
 
-def proximal_step_gram(xtx, xty, m, w_anchor, eta: float | np.ndarray) -> np.ndarray:
-    """:func:`proximal_step` from precomputed ``X^T X``, ``X^T y`` and row count.
-
-    Broadcasts over leading axes: ``xtx`` of shape (..., d, d), ``xty`` and
-    ``w_anchor`` of shape (..., d), and ``m`` and ``eta`` scalars or arrays
-    whose leading axes broadcast together solve every system in one call,
-    and each result is bitwise identical to the corresponding single-system
-    call.
-    """
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta <= 0):
-        raise ParameterError(f"eta must be positive, got {eta}")
-    m = np.asarray(m, dtype=float)
-    if np.any(m < 1):
-        raise DegenerateInputError("proximal step is undefined on an empty dataset")
-    xtx = np.asarray(xtx, dtype=float)
-    xty = np.asarray(xty, dtype=float)
-    w_anchor = np.asarray(w_anchor, dtype=float)
-    d = xtx.shape[-1] if xtx.ndim else 0
-    try:
-        np.broadcast_shapes(xtx.shape[:-2], xty.shape[:-1], w_anchor.shape[:-1], m.shape, eta.shape)
-        consistent = xtx.shape[-2:] == (d, d) and xty.shape[-1:] == w_anchor.shape[-1:] == (d,)
-    except ValueError:
-        consistent = False
-    if not consistent:
+def proximal_step_gram(xtx, xty, m, w_anchor, eta: float) -> np.ndarray:
+    """:func:`proximal_step` from precomputed ``X^T X``, ``X^T y`` and row count ``m``: one (d, d) system."""
+    xtx, xty, w_anchor, m, eta = (np.asarray(a, dtype=float) for a in (xtx, xty, w_anchor, m, eta))
+    d = w_anchor.shape[0] if w_anchor.ndim == 1 else -1
+    if xtx.shape != (d, d) or xty.shape != (d,) or m.ndim or eta.ndim:
         raise ShapeError(
-            f"inconsistent shapes: xtx {xtx.shape}, xty {xty.shape}, "
+            f"expected one system, got xtx {xtx.shape}, xty {xty.shape}, "
             f"anchor {w_anchor.shape}, m {m.shape}, eta {eta.shape}"
         )
+    if not eta > 0:
+        raise ParameterError(f"eta must be positive, got {eta}")
+    if m < 1:
+        raise DegenerateInputError("proximal step is undefined on an empty dataset")
     return _proximal_solve(_proximal_system(xtx, xty, m, eta), w_anchor)
 
 
 def _proximal_system(xtx, xty, m, eta):
     """The anchor-free parts of :func:`proximal_step_gram`'s system, unchecked.
 
-    Returns ``((2/m) X^T X + (2/eta) I, (2/m) X^T y, 2/eta)``, broadcast over
-    the leading axes as :func:`proximal_step_gram` describes.
+    Returns ``((2/m) X^T X + (2/eta) I, (2/m) X^T y, 2/eta)``. ``xtx`` of
+    shape (..., d, d), ``xty`` of shape (..., d), and ``m`` and ``eta``
+    arrays whose leading axes broadcast with theirs build every system at
+    once; :func:`_proximal_solve` then solves each bitwise as alone.
     """
     scale = (2.0 / m)[..., None]
     pull = (2.0 / eta)[..., None]

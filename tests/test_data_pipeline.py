@@ -447,6 +447,18 @@ class TestNormalize:
         with pytest.raises(ConstantFeatureError, match="f0"):
             normalize(make_dataset([5.0, 5.0, 5.0]))
 
+    @pytest.mark.parametrize(
+        "train_col",
+        [[1.0, 1e300, -1e300, 2.0], [1e308, 1e308, 1e308]],
+        ids=["std_overflows", "mean_overflows"],
+    )
+    def test_non_finite_statistic_rejected(self, train_col):
+        # finite values whose training std (or mean) overflows; without the
+        # check the column would become all zeros in every split
+        with pytest.raises(ConstantFeatureError) as excinfo:
+            normalize(make_dataset(train_col))
+        assert str(excinfo.value) == "feature 'f0' has a non-finite mean or std on the training split of node 1"
+
     def test_feature_stats_recorded(self):
         ds = normalize(make_dataset([1.0, 2.0, 3.0]))
         means, stds = ds.feature_stats

@@ -492,6 +492,12 @@ class TestLoadExperimentConfig:
         with pytest.raises(ConfigError):
             load_experiment_config(write_config(tmp_path, "[optimizer]\nalgorithm = sgd\n"))
 
+    def test_repeated_optimizer_algorithm(self, tmp_path):
+        cfg = write_config(tmp_path, "[optimizer]\nalgorithm = fedavg1, fedsgd, fedavg1\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_experiment_config(cfg)
+        assert str(excinfo.value) == "[optimizer] algorithm: must not repeat a value, got fedavg1, fedsgd, fedavg1"
+
     def test_unknown_logical_column(self, tmp_path):
         with pytest.raises(ConfigError, match="heartrate"):
             load_experiment_config(write_config(tmp_path, "[columns]\nheartrate = hr\n"))
@@ -974,6 +980,35 @@ class TestCli:
         result = self.run_cli("grid", "--config", str(cfg), "--out", str(out))
         assert result.exit_code == 2, result.output
         assert f"config error: [grid] grid {key} must not repeat a value, got {value}" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_repeated_optimizer_algorithm_exits_2(self, tmp_path):
+        write_spec(tmp_path)
+        body = "[data]\nsynthetic = spec.json\n\n[optimizer]\nalgorithm = fedavg1, fedavg1\nmax_iterations = 20\n"
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(write_config(tmp_path, body)), "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert "config error: [optimizer] algorithm: must not repeat a value, got fedavg1, fedavg1" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_non_finite_feature_statistic_exits_3(self, tmp_path):
+        # finite glucose values near 1e300 pass the drop rules, but any two of
+        # them overflow facility B's training std
+        header, *lines = FIXTURE.read_text().splitlines()
+        col = header.split(",").index("glucose")
+        big = iter(["1e300", "-1e300", "3e300", "-3e300"])
+        rows = [line.split(",") for line in lines]
+        for row in rows:
+            if row[-1] == "B":
+                row[col] = next(big)
+        (tmp_path / "rows.csv").write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+        cfg = write_config(tmp_path, "[data]\ncsv = rows.csv\n")
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(out), "--algorithm", "fedavg1")
+        assert result.exit_code == 3, result.output
+        assert "data error: feature 'glucose' has a non-finite mean or std on the training split of node 2" in result.output
         assert "Traceback" not in result.output
         assert not out.exists()
 

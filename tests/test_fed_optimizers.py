@@ -13,6 +13,8 @@ from fedgtv.fed_optimizers import (
     fedavg_v1_round,
     fedavg_v2_round,
     fedsgd_round,
+    _losses,
+    _split_parts,
     gtv_objective,
     train,
     train_cells,
@@ -127,26 +129,24 @@ class TestFedsgdRound:
 
     def test_sampled_node_steps_on_its_drawn_batch(self):
         # the README's mini-batch stream: sorted indices drawn without replacement
-        # from default_rng([seed, node_id, round]), shared by every cell of a stack
+        # from default_rng([seed, node_id, round]), whatever eta and alpha are
         datasets = synthetic_datasets(rows=60)
-        L = graph_from_edges(3, [(0, 1), (1, 2)]).laplacian()
-        configs = [
-            OptimizerConfig("fedsgd", eta=eta, alpha=alpha, batch_size=5, seed=7)
-            for eta, alpha in ((0.01, 0.1), (0.05, 1.0))
-        ]
-        W = np.random.default_rng(4).standard_normal((2, 3, 3))
-        for k in (3, 4):
-            out = fedsgd_round(W, datasets, np.stack([L, L]), configs, round_index=k)
-            for c, config in enumerate(configs):
-                coupling = 2 * config.alpha * (L @ W[c])
+        graph = graph_from_edges(3, [(0, 1), (1, 2)])
+        L = graph.laplacian()
+        for eta, alpha in ((0.01, 0.1), (0.05, 1.0)):
+            config = OptimizerConfig("fedsgd", eta=eta, alpha=alpha, batch_size=5, seed=7)
+            W = np.random.default_rng(4).standard_normal((3, 3))
+            for k in (3, 4):
+                out = fedsgd_round(W, datasets, graph, config, round_index=k)
+                coupling = 2 * alpha * (L @ W)
                 for i, ds in enumerate(datasets):
                     X, y = ds.train
                     assert len(y) > config.batch_size
                     rng = np.random.default_rng([config.seed, ds.node_id, k])
                     batch = np.sort(rng.choice(len(y), config.batch_size, replace=False))
-                    grad = mse_gradient(X[batch], y[batch], W[c, i])
-                    assert np.array_equal(out[c, i], W[c, i] - config.eta * (grad + coupling[i])), (k, c, i)
-            W = out
+                    grad = mse_gradient(X[batch], y[batch], W[i])
+                    assert np.array_equal(out[i], W[i] - eta * (grad + coupling[i])), (eta, k, i)
+                W = out
 
     def test_two_node_contraction_factor_exact(self):
         # zero data gradient: X = 0 keeps the local loss flat
@@ -287,28 +287,6 @@ class TestFedavgV2Round:
 
 
 class TestStackedCells:
-    def test_rounds_match_single_config_calls(self):
-        datasets = synthetic_datasets(rows=40)
-        graphs = [graph_from_edges(3, [(0, 1), (1, 2)]), graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])]
-        rng = np.random.default_rng(9)
-        W = rng.standard_normal((4, 3, 3))
-        for algorithm in ("fedsgd", "fedavg1", "fedavg2"):
-            configs = [
-                OptimizerConfig(algorithm, eta=eta, alpha=alpha, batch_size=6, seed=3)
-                for eta, alpha in ((0.01, 0.1), (0.05, 0.1), (0.01, 1.0), (0.2, 0.5))
-            ]
-            cell_graphs = [graphs[c % 2] for c in range(4)]
-            if algorithm == "fedsgd":
-                laplacians = np.stack([g.laplacian() for g in cell_graphs])
-                out = fedsgd_round(W, datasets, laplacians, configs, round_index=5)
-                solo = [fedsgd_round(W[c], datasets, cell_graphs[c], configs[c], 5) for c in range(4)]
-            else:
-                step = fedavg_v1_round if algorithm == "fedavg1" else fedavg_v2_round
-                out = step(W, datasets, configs)
-                solo = [step(W[c], datasets, configs[c]) for c in range(4)]
-            assert out.shape == W.shape
-            assert np.array_equal(out, np.array(solo))
-
     @pytest.mark.parametrize(
         "field, value",
         [("algorithm", "fedavg1"), ("batch_size", 7), ("seed", 1), ("max_iterations", 9), ("trace_every", 3)],
@@ -320,26 +298,47 @@ class TestStackedCells:
         other = replace(base, eta=0.05, **{field: value})
         with pytest.raises(ParameterError, match="differ only in eta and alpha"):
             train_cells(datasets, [graph, graph], [base, other])
-        with pytest.raises(ParameterError, match="differ only in eta and alpha"):
-            fedsgd_round(np.zeros((2, 3, 3)), datasets, graph, [base, other], round_index=0)
 
     def test_stack_shape_checked(self):
+        # a round steps one (n, d) stack; only train_cells steps several cells
         datasets = synthetic_datasets()
-        configs = [OptimizerConfig("fedavg1", eta=0.1)] * 2
-        with pytest.raises(ShapeError):
-            fedavg_v1_round(np.zeros((3, 3, 3)), datasets, configs)
+        graph = graph_from_edges(3, [(0, 1), (1, 2)])
+        config = OptimizerConfig("fedavg1", eta=0.1)
+        cells = np.zeros((2, 3, 3))
+        for one_round in (
+            lambda W: fedsgd_round(W, datasets, graph, replace(config, algorithm="fedsgd"), round_index=0),
+            lambda W: fedavg_v1_round(W, datasets, config),
+            lambda W: fedavg_v2_round(W, datasets, replace(config, algorithm="fedavg2")),
+        ):
+            with pytest.raises(ShapeError, match="expected an \\(n, d\\) weight stack"):
+                one_round(cells)
         with pytest.raises(ParameterError):
-            train_cells(datasets, [None], configs)
+            train_cells(datasets, [None], [config] * 2)
         with pytest.raises(ParameterError):
             train_cells(datasets, [], [])
+
+    def test_split_losses_nan_on_empty_split(self):
+        # the one (C, n) scorer behind trace points, evaluate and grid val scores
+        datasets = synthetic_datasets()
+        datasets[1] = replace(datasets[1], val=(np.zeros((0, 3)), np.zeros(0)))
+        W = np.random.default_rng(2).standard_normal((4, 3, 3))
+        losses = _losses(_split_parts(datasets, "val", W), W)
+        assert losses.shape == (4, 3)
+        assert np.isnan(losses[:, 1]).all()
+        for c in range(4):
+            for i in (0, 2):
+                assert losses[c, i] == mse_loss(*datasets[i].val, W[c, i])
+        with pytest.raises(ShapeError, match="does not match 3 feature columns"):
+            _split_parts(datasets, "val", W[:, :, :2])
 
 
 class TestTrain:
     def test_single_round_budget(self):
-        # train_cells and train are the public round functions iterated from
-        # zeros, bitwise, for one round and for several, on a stack of cells and
-        # per cell; the nodes' training splits lie on both sides of batch_size,
-        # so some nodes draw a mini-batch and some take their whole split
+        # every cell of train_cells, and train on its config, is the public
+        # round functions iterated from zeros, bitwise, for one round and for
+        # several. In the first input the nodes' training splits lie on both
+        # sides of batch_size, so some nodes draw a mini-batch and some take
+        # their whole split; the second steps four cells that all draw.
         spec = SyntheticSpec(
             node_count=3,
             rows_per_node=(8, 16, 40),
@@ -348,36 +347,37 @@ class TestTrain:
             cluster_weights=((1.5, 0.0, -0.5),),
             noise_std=0.2,
         )
-        datasets = generate_synthetic(spec)
-        batch_size = 9
-        sizes = [ds.train[0].shape[0] for ds in datasets]
-        assert min(sizes) <= batch_size < max(sizes)
+        mixed = generate_synthetic(spec)
+        sizes = [ds.train[0].shape[0] for ds in mixed]
+        assert min(sizes) <= 9 < max(sizes)
         graphs = [graph_from_edges(3, [(0, 1), (1, 2)]), graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])]
-        laplacians = np.stack([g.laplacian() for g in graphs])
+        inputs = [
+            (mixed, 9, 5, ((0.02, 0.1), (0.05, 0.5))),
+            (synthetic_datasets(rows=40), 6, 3, ((0.01, 0.1), (0.05, 0.1), (0.01, 1.0), (0.2, 0.5))),
+        ]
         rounds = {
-            "fedsgd": lambda W, cfg, L, k: fedsgd_round(W, datasets, L, cfg, round_index=k),
-            "fedavg1": lambda W, cfg, L, k: fedavg_v1_round(W, datasets, cfg),
-            "fedavg2": lambda W, cfg, L, k: fedavg_v2_round(W, datasets, cfg),
+            "fedsgd": lambda W, datasets, cfg, graph, k: fedsgd_round(W, datasets, graph, cfg, round_index=k),
+            "fedavg1": lambda W, datasets, cfg, graph, k: fedavg_v1_round(W, datasets, cfg),
+            "fedavg2": lambda W, datasets, cfg, graph, k: fedavg_v2_round(W, datasets, cfg),
         }
-        for algorithm, step in rounds.items():
-            for budget in (1, 4):
-                configs = [
-                    OptimizerConfig(algorithm, eta, alpha, batch_size=batch_size, max_iterations=budget, seed=5)
-                    for eta, alpha in ((0.02, 0.1), (0.05, 0.5))
-                ]
-                W, traces = train_cells(datasets, graphs, configs)
-                expected = np.zeros((2, 3, 3))
-                for k in range(budget):
-                    expected = step(expected, configs, laplacians, k)
-                assert np.array_equal(W, expected), (algorithm, budget)
-                for c, (graph, config) in enumerate(zip(graphs, configs)):
-                    Wc, trace = train(datasets, graph, config)
-                    alone = np.zeros((3, 3))
-                    for k in range(budget):
-                        alone = step(alone, config, graph, k)
-                    assert np.array_equal(Wc, alone) and np.array_equal(W[c], alone), (algorithm, budget, c)
-                    assert trace.rounds == traces[c].rounds == [budget]
-                    assert trace.objective == traces[c].objective
+        for datasets, batch_size, seed, cells in inputs:
+            cell_graphs = [graphs[c % 2] for c in range(len(cells))]
+            for algorithm, step in rounds.items():
+                for budget in (1, 4):
+                    configs = [
+                        OptimizerConfig(algorithm, eta, alpha, batch_size=batch_size, max_iterations=budget, seed=seed)
+                        for eta, alpha in cells
+                    ]
+                    W, traces = train_cells(datasets, cell_graphs, configs)
+                    assert W.shape == (len(cells), 3, 3)
+                    for c, (graph, config) in enumerate(zip(cell_graphs, configs)):
+                        Wc, trace = train(datasets, graph, config)
+                        alone = np.zeros((3, 3))
+                        for k in range(budget):
+                            alone = step(alone, datasets, config, graph, k)
+                        assert np.array_equal(Wc, alone) and np.array_equal(W[c], alone), (algorithm, budget, c)
+                        assert trace.rounds == traces[c].rounds == [budget]
+                        assert trace.objective == traces[c].objective
 
     @pytest.mark.parametrize("algorithm", ["fedsgd", "fedavg1", "fedavg2"])
     def test_wrong_feature_width_rejected(self, algorithm):

@@ -3,7 +3,10 @@ import pytest
 
 from fedgtv.errors import DegenerateInputError, ParameterError, ShapeError
 from fedgtv.model_core import (
+    _gram_gradient,
     _mse_rows,
+    _proximal_solve,
+    _proximal_system,
     least_squares_fit,
     mse_gradient,
     mse_loss,
@@ -87,13 +90,15 @@ class TestMseGradient:
         assert np.array_equal(mse_gradient([[1.0]], [0.0], [3.0]), [6.0])
 
     def test_broadcasts_bitwise_over_leading_axes(self):
+        # the kernel the rounds run: each vector of a stack steps bitwise as
+        # the one-vector mse_gradient call
         rng = np.random.default_rng(12)
         for m, d in ((1, 1), (7, 3), (512, 19), (2000, 40)):
             X = rng.standard_normal((m, d))
             y = rng.standard_normal(m)
             W = rng.standard_normal((3, 5, d))
             for stack in (W[0], W, W[:, 2]):  # (C, d), (A, B, d), non-contiguous slice
-                out = mse_gradient(X, y, stack)
+                out = _gram_gradient(X.T @ X, X.T @ y, 2.0 / m, stack)
                 assert out.shape == stack.shape
                 for idx in np.ndindex(stack.shape[:-1]):
                     assert np.array_equal(out[idx], mse_gradient(X, y, stack[idx]))
@@ -116,6 +121,8 @@ class TestMseGradient:
             mse_gradient(np.eye(2), [1.0, 2.0], np.zeros((4, 3)))
         with pytest.raises(ShapeError):
             mse_gradient(np.eye(2), [1.0, 2.0], 0.0)
+        with pytest.raises(ShapeError):  # one vector only: a stack of matching width too
+            mse_gradient(np.eye(2), [1.0, 2.0], np.zeros((4, 2)))
 
     def test_zero_at_least_squares_solution(self):
         rng = np.random.default_rng(3)
@@ -225,6 +232,8 @@ class TestProximalStep:
         for eta in (0.0, -1.0):
             with pytest.raises(ParameterError):
                 proximal_step([[1.0]], [1.0], [0.0], eta=eta)
+            with pytest.raises(ParameterError):
+                proximal_step_gram(np.eye(2), np.ones(2), 3, np.zeros(2), eta=eta)
 
     def test_gram_variant_is_bitwise_identical(self):
         rng = np.random.default_rng(11)
@@ -235,35 +244,36 @@ class TestProximalStep:
         cached = proximal_step_gram(X.T @ X, X.T @ y, 12, anchor, eta=0.7)
         assert np.array_equal(direct, cached)
 
-        # one stacked (n, d, d) call solves each node bitwise as a single call
+        # the kernel the fedavg2 rounds run: one stacked (n, d, d) system
+        # solves each node bitwise as a single call
         Xs = [rng.standard_normal((m, 4)) for m in (12, 5, 30)]
         ys = [rng.standard_normal(Xi.shape[0]) for Xi in Xs]
-        anchors = rng.standard_normal((3, 4))
-        per_node = [proximal_step(Xi, yi, a, eta=0.7) for Xi, yi, a in zip(Xs, ys, anchors)]
-        stacked = proximal_step_gram(
+        grams = (
             np.stack([Xi.T @ Xi for Xi in Xs]),
             np.stack([Xi.T @ yi for Xi, yi in zip(Xs, ys)]),
-            np.array([Xi.shape[0] for Xi in Xs]),
-            anchors,
-            eta=0.7,
+            np.array([Xi.shape[0] for Xi in Xs], dtype=float),
         )
+        anchors = rng.standard_normal((3, 4))
+        per_node = [proximal_step(Xi, yi, a, eta=0.7) for Xi, yi, a in zip(Xs, ys, anchors)]
+        stacked = _proximal_solve(_proximal_system(*grams, np.array(0.7)), anchors)
         assert np.array_equal(stacked, np.array(per_node))
 
         # a (cells, n) stack of anchors with one eta per cell broadcasts the same way
         anchors = rng.standard_normal((2, 3, 4))
-        grams = (
-            np.stack([Xi.T @ Xi for Xi in Xs]),
-            np.stack([Xi.T @ yi for Xi, yi in zip(Xs, ys)]),
-            np.array([Xi.shape[0] for Xi in Xs]),
-        )
-        cells = proximal_step_gram(*grams, anchors, np.array([[0.7], [3.0]]))
+        cells = _proximal_solve(_proximal_system(*grams, np.array([[0.7], [3.0]])), anchors)
         for c, eta in enumerate((0.7, 3.0)):
-            assert np.array_equal(cells[c], proximal_step_gram(*grams, anchors[c], eta))
-        with pytest.raises(ParameterError):
-            proximal_step_gram(*grams, anchors, np.array([[0.7], [0.0]]))
+            for i in range(3):
+                assert np.array_equal(cells[c, i], proximal_step_gram(*(g[i] for g in grams), anchors[c, i], eta))
 
     def test_gram_shape_mismatch(self):
         with pytest.raises(ShapeError):
             proximal_step_gram(np.eye(3), np.zeros(2), 5, np.zeros(3), eta=1.0)
         with pytest.raises(ShapeError):
             proximal_step_gram(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), 5, np.zeros((3, 3)), eta=1.0)
+        # one system only: stacked but consistent inputs, or a per-system m or eta
+        with pytest.raises(ShapeError):
+            proximal_step_gram(np.stack([np.eye(3)] * 2), np.zeros((2, 3)), 5, np.zeros((2, 3)), eta=1.0)
+        with pytest.raises(ShapeError):
+            proximal_step_gram(np.eye(3), np.zeros(3), [5, 6], np.zeros(3), eta=1.0)
+        with pytest.raises(ShapeError):
+            proximal_step_gram(np.eye(3), np.zeros(3), 5, np.zeros(3), eta=np.array([[0.7], [3.0]]))
