@@ -189,36 +189,39 @@ def load_csv(path, schema: CsvSchema | None = None) -> tuple[dict[str, np.ndarra
     dropped = 0
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        for column in schema.required_physical_columns():
-            if column not in header:
-                raise SchemaError(f"required column {column!r} missing from header of {path}")
-        index = {name: i for i, name in enumerate(header)}  # a repeated name resolves to its last column
-        logical = ("facid", "rcount", "gender", "lengthofstay") + NUMERIC_FIELDS + ("hemo",)
-        picks = [index[schema.physical(f)] for f in logical] + [index[c] for c in schema.condition_columns]
-        width = max(picks) + 1
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            rows = [row for row in chunk if len(row) >= width]
-            dropped += len(chunk) - len(rows) - chunk.count([])  # blank rows are skipped
-            if not rows:
-                continue
-            columns = list(zip(*rows))  # as long as the shortest row, which reaches every pick
-            facid, rcount, gender = (list(map(str.strip, columns[i])) for i in picks[:3])
-            los, *values = (_floats(columns[i]) for i in picks[3:])  # then the numerics, hemo, the flags
-            flags = np.array(values[9:]) + 0.0  # hemo, then the condition flags; -0 becomes +0.0
-            record = np.column_stack([
-                np.fromiter(map(RCOUNT_SLOT.get, rcount, nan), float),
-                np.fromiter(map(GENDER_VALUE.get, map(str.upper, gender), nan), float),
-                flags[0], *values[:9], (flags[1:] == 1.0).sum(axis=0), los,
-            ])
-            keep = np.isfinite(record).all(axis=1) & np.isin(flags, (0.0, 1.0)).all(axis=0)
-            keep &= (los >= 1) & (los == np.floor(los)) & np.fromiter(map(bool, facid), bool)
-            dropped += len(rows) - int(keep.sum())
-            record = record[keep]
-            labels: dict[str, int] = {}  # kept facid -> its rows' label; a numpy str drops a trailing NUL
-            label = np.fromiter(map(labels.setdefault, compress(facid, keep), count()), np.intp)
-            for f, i in labels.items():
-                blocks.setdefault(f, array("d")).frombytes(record[label == i].tobytes())
+        try:
+            header = next(reader, [])
+            for column in schema.required_physical_columns():
+                if column not in header:
+                    raise SchemaError(f"required column {column!r} missing from header of {path}")
+            index = {name: i for i, name in enumerate(header)}  # a repeated name resolves to its last column
+            logical = ("facid", "rcount", "gender", "lengthofstay") + NUMERIC_FIELDS + ("hemo",)
+            picks = [index[schema.physical(f)] for f in logical] + [index[c] for c in schema.condition_columns]
+            width = max(picks) + 1
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                rows = [row for row in chunk if len(row) >= width]
+                dropped += len(chunk) - len(rows) - chunk.count([])  # blank rows are skipped
+                if not rows:
+                    continue
+                columns = list(zip(*rows))  # as long as the shortest row, which reaches every pick
+                facid, rcount, gender = (list(map(str.strip, columns[i])) for i in picks[:3])
+                los, *values = (_floats(columns[i]) for i in picks[3:])  # then the numerics, hemo, the flags
+                flags = np.array(values[9:]) + 0.0  # hemo, then the condition flags; -0 becomes +0.0
+                record = np.column_stack([
+                    np.fromiter(map(RCOUNT_SLOT.get, rcount, nan), float),
+                    np.fromiter(map(GENDER_VALUE.get, map(str.upper, gender), nan), float),
+                    flags[0], *values[:9], (flags[1:] == 1.0).sum(axis=0), los,
+                ])
+                keep = np.isfinite(record).all(axis=1) & np.isin(flags, (0.0, 1.0)).all(axis=0)
+                keep &= (los >= 1) & (los == np.floor(los)) & np.fromiter(map(bool, facid), bool)
+                dropped += len(rows) - int(keep.sum())
+                record = record[keep]
+                labels: dict[str, int] = {}  # kept facid -> its rows' label; a numpy str drops a trailing NUL
+                label = np.fromiter(map(labels.setdefault, compress(facid, keep), count()), np.intp)
+                for f, i in labels.items():
+                    blocks.setdefault(f, array("d")).frombytes(record[label == i].tobytes())
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise SchemaError(f"{path}, line {reader.line_num}: {exc}") from exc
     if not blocks:
         raise EmptyInputError(f"no parseable data rows in {path}")
     return {facid: np.frombuffer(blocks[facid]).reshape(-1, 14) for facid in sorted(blocks)}, dropped
@@ -305,6 +308,12 @@ def normalize(dataset: LocalDataset) -> LocalDataset:
     )
 
 
+def _split_node(node_id: int, X: np.ndarray, y: np.ndarray, seed: int, **fields) -> LocalDataset:
+    """One node's rows split by :func:`split_dataset`; ``fields`` are the other LocalDataset fields."""
+    tr, va, te = split_dataset(len(y), seed)
+    return LocalDataset(node_id, (X[tr], y[tr]), (X[va], y[va]), (X[te], y[te]), **fields)
+
+
 def load_preprocessed(path, schema: CsvSchema | None = None, seed: int = 42) -> tuple[list[LocalDataset], int]:
     """Full pipeline: load_csv -> engineer_features -> split -> normalize.
 
@@ -315,17 +324,8 @@ def load_preprocessed(path, schema: CsvSchema | None = None, seed: int = 42) -> 
     datasets = []
     for node_id, facid in enumerate(list(blocks), start=1):
         X, y = engineer_features(blocks.pop(facid))  # frees each block once its features are built
-        tr, va, te = split_dataset(len(y), seed)
-        dataset = LocalDataset(
-            node_id=node_id,
-            train=(X[tr], y[tr]),
-            val=(X[va], y[va]),
-            test=(X[te], y[te]),
-            numeric_columns=NUMERIC_COLUMNS.copy(),
-            feature_names=FEATURE_NAMES,
-            source_label=facid,
-        )
-        datasets.append(normalize(dataset))
+        fields = dict(numeric_columns=NUMERIC_COLUMNS.copy(), feature_names=FEATURE_NAMES, source_label=facid)
+        datasets.append(normalize(_split_node(node_id, X, y, seed, **fields)))
     return datasets, dropped
 
 
@@ -393,17 +393,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LocalDataset]:
         y = X @ w
         if spec.noise_std > 0:
             y = y + spec.noise_std * rng.standard_normal(m)
-        tr, va, te = split_dataset(m, spec.seed)
-        datasets.append(
-            LocalDataset(
-                node_id=node + 1,
-                train=(X[tr], y[tr]),
-                val=(X[va], y[va]),
-                test=(X[te], y[te]),
-                numeric_columns=np.arange(spec.feature_dim - 1),
-                feature_names=names,
-            )
-        )
+        fields = dict(numeric_columns=np.arange(spec.feature_dim - 1), feature_names=names)
+        datasets.append(_split_node(node + 1, X, y, spec.seed, **fields))
     return datasets
 
 

@@ -116,11 +116,8 @@ def build_knn_graph(disc, d: int) -> EmpiricalGraph:
     ranked = disc.copy()
     np.fill_diagonal(ranked, np.inf)
     A = np.zeros((n, n))
-    for i in range(n):
-        nearest = np.argsort(ranked[i], kind="stable")[:d]
-        A[i, nearest] = 1.0
-        A[nearest, i] = 1.0
-    return EmpiricalGraph(adjacency=A, min_degree=d)
+    A[np.arange(n)[:, None], np.argsort(ranked, axis=1, kind="stable")[:, :d]] = 1.0
+    return EmpiricalGraph(adjacency=np.maximum(A, A.T), min_degree=d)
 
 
 def is_connected(graph: EmpiricalGraph) -> bool:

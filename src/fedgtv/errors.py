@@ -6,7 +6,7 @@ class FedGTVError(Exception):
 
 
 class SchemaError(FedGTVError):
-    """A required CSV column is missing or the header is unusable."""
+    """A required CSV column is missing, or a line of the CSV cannot be parsed."""
 
 
 class EmptyInputError(FedGTVError):

@@ -585,6 +585,22 @@ def _load_datasets(cfg: ExperimentConfig):
     return datasets, source
 
 
+def _stale_artifacts(out: Path, written: Sequence[str]) -> list[Path]:
+    """Paths the manifest already in ``out`` lists and ``written`` does not, none outside ``out``.
+
+    Only a JSON object whose ``artifacts`` is a list of strings counts; absolute and ``..`` names are skipped.
+    """
+    try:
+        old = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError):  # no earlier manifest, or not JSON
+        return []
+    names = old.get("artifacts") if isinstance(old, dict) else None
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        return []
+    kept = set(map(Path, written))
+    return [out / p for p in map(Path, names) if p not in kept and not p.is_absolute() and ".." not in p.parts]
+
+
 def run_experiment(
     config_path,
     out_dir,
@@ -601,13 +617,17 @@ def run_experiment(
     Modes: "run" trains the configured algorithms at the fixed [optimizer]
     settings; "grid" runs the hyperparameter search and reports each
     algorithm's winner from the weights and trace the search already trained;
-    "graph" only builds and exports the empirical graph.
-    Nothing is written until every computation has succeeded, and the
-    artifacts are written to a sibling staging directory and moved into
-    ``out_dir`` only once all of them are written, so a failure leaves no
-    partial artifacts. Identical inputs produce byte-identical outputs (the
-    manifest records versions but no timestamps). Returns a summary dict with
-    the report, manifest, and artifact names.
+    "graph" only builds and exports the empirical graph. Each mode passes
+    through the same stages once: load, graph, train, report, commit.
+    Nothing is written until every computation has succeeded. The artifacts
+    are written to a sibling staging directory, the manifest lists the files
+    actually written there, and all of them move into ``out_dir`` only once
+    every one is written, so a failure leaves no partial artifacts. Once the
+    moves succeed, files that an earlier run's manifest in ``out_dir`` lists
+    and this run did not write are deleted. Identical inputs produce
+    byte-identical outputs (the manifest records versions but no
+    timestamps). Returns a summary dict with the report, manifest, and
+    artifact names.
     """
     if mode not in ("run", "grid", "graph"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -625,9 +645,6 @@ def run_experiment(
         cfg.grid = replace(cfg.grid, algorithms=cfg.algorithms)
 
     datasets, source = _load_datasets(cfg)
-    node_ids = [ds.node_id for ds in datasets]
-
-    artifacts: dict[str, str] = {}
     manifest: dict = {
         "config_name": Path(config_path).name,
         "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
@@ -640,95 +657,68 @@ def run_experiment(
             "python": platform.python_version(),
         },
     }
-    report: MetricsReport | None = None
-    graph: EmpiricalGraph | None = None
+    graph = None
+    if mode == "graph" or (mode == "run" and Algorithm.FEDSGD in cfg.algorithms):
+        graph = build_knn_graph(discrepancy_matrix(pretrain_local_weights(datasets)), cfg.degree)
 
-    if mode == "graph":
-        graph = build_knn_graph(
-            discrepancy_matrix(pretrain_local_weights(datasets)), cfg.degree
+    artifacts: dict[str, str] = {}
+    fits = []  # one (algorithm, hyperparameters, W, trace) record per trained algorithm
+    if mode == "run":
+        manifest["optimizer"] = {
+            "algorithms": [a.value for a in cfg.algorithms], "eta": cfg.eta, "alpha": cfg.alpha,
+            "batch_size": cfg.batch_size, "max_iterations": cfg.max_iterations,
+        }
+        for algo in cfg.algorithms:
+            W, trace = train(datasets, graph if algo is Algorithm.FEDSGD else None, cfg.optimizer_config(algo))
+            fits.append((algo, _hyperparameters(algo, cfg.eta, cfg.alpha, cfg.degree), W, trace))
+    elif mode == "grid":
+        result = run_grid_search(
+            datasets, cfg.grid, batch_size=cfg.batch_size, max_iterations=cfg.max_iterations,
+            seed=cfg.seed, trace_every=cfg.trace_every,
         )
+        artifacts["grid.csv"] = _render_grid_csv(result.cells)
+        manifest["selected"] = {name: cell.to_dict() for name, cell in sorted(result.best.items())}
+        for algo in cfg.grid.algorithms:
+            best = result.best[algo.value]
+            W, trace, _ = result.trained[algo.value]
+            fits.append((algo, _hyperparameters(algo, best.eta, best.alpha, best.degree), W, trace))
+        graph = result.trained.get(Algorithm.FEDSGD.value, (None,) * 3)[2]
+    if graph is not None:
         manifest["graph"] = graph_summary(graph)
-    else:
-        # One (algorithm, hyperparameters, W, trace, graph or None) record per
-        # trained algorithm, reported by the loop below in both modes.
-        fits = []
-        if mode == "run":
-            manifest["optimizer"] = {
-                "algorithms": [a.value for a in cfg.algorithms],
-                "eta": cfg.eta,
-                "alpha": cfg.alpha,
-                "batch_size": cfg.batch_size,
-                "max_iterations": cfg.max_iterations,
-            }
-            if Algorithm.FEDSGD in cfg.algorithms:
-                graph = build_knn_graph(
-                    discrepancy_matrix(pretrain_local_weights(datasets)), cfg.degree
-                )
-            for algo in cfg.algorithms:
-                algo_graph = graph if algo is Algorithm.FEDSGD else None
-                W, trace = train(datasets, algo_graph, cfg.optimizer_config(algo))
-                params = _hyperparameters(algo, cfg.eta, cfg.alpha, cfg.degree)
-                fits.append((algo, params, W, trace, algo_graph))
-        else:
-            result = run_grid_search(
-                datasets,
-                cfg.grid,
-                batch_size=cfg.batch_size,
-                max_iterations=cfg.max_iterations,
-                seed=cfg.seed,
-                trace_every=cfg.trace_every,
-            )
-            artifacts["grid.csv"] = _render_grid_csv(result.cells)
-            manifest["selected"] = {
-                name: cell.to_dict() for name, cell in sorted(result.best.items())
-            }
-            for algo in cfg.grid.algorithms:
-                winner = result.best[algo.value]
-                params = _hyperparameters(algo, winner.eta, winner.alpha, winner.degree)
-                fits.append((algo, params, *result.trained[algo.value]))
-        report = MetricsReport()
-        traces: dict[str, TrainingTrace] = {}
-        for algo, params, W, trace, algo_graph in fits:
-            if algo_graph is not None:
-                graph = algo_graph
-                manifest["graph"] = graph_summary(graph)
-            report.blocks.extend(evaluate(W, datasets, algo.value, params).blocks)
-            traces[algo.value] = trace
+
+    report: MetricsReport | None = None
+    if mode != "graph":
+        report = MetricsReport(
+            [block for algo, params, W, _ in fits for block in evaluate(W, datasets, algo.value, params).blocks]
+        )
         artifacts["metrics.txt"] = report.to_text()
         artifacts["metrics.json"] = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        artifacts["trace.csv"] = _render_trace_csv(traces, node_ids)
-
-    names = sorted(artifacts) + ["manifest.json"]
-    if graph is not None:
-        names.append("graph.edges")
-    if dump_data:
-        names.extend(
-            f"preprocessed/node{ds.node_id}_{s}.csv"
-            for ds in datasets
-            for s in ("train", "val", "test")
-        )
-    manifest["artifacts"] = sorted(names)
-    artifacts["manifest.json"] = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        traces = {algo.value: trace for algo, _, _, trace in fits}
+        artifacts["trace.csv"] = _render_trace_csv(traces, [ds.node_id for ds in datasets])
 
     out = Path(out_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     try:
-        for name in sorted(artifacts):
-            (staging / name).write_text(artifacts[name], encoding="utf-8")
+        for name, text in artifacts.items():
+            (staging / name).write_text(text, encoding="utf-8")
+        written = [staging / name for name in artifacts]
         if graph is not None:
-            export_edge_list(graph, staging / "graph.edges")
+            written.append(export_edge_list(graph, staging / "graph.edges"))
         if dump_data:
-            dump_preprocessed(datasets, staging / "preprocessed")
+            written += dump_preprocessed(datasets, staging / "preprocessed")
+        manifest["artifacts"] = sorted([p.relative_to(staging).as_posix() for p in written] + ["manifest.json"])
+        (staging / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        stale = _stale_artifacts(out, manifest["artifacts"])
         for name in manifest["artifacts"]:
             (out / name).parent.mkdir(parents=True, exist_ok=True)
             (staging / name).replace(out / name)
+        for path in stale:
+            if path.is_file():
+                path.unlink()
+                if path.parent != out and not any(path.parent.iterdir()):
+                    path.parent.rmdir()
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
-    return {
-        "out_dir": str(out),
-        "artifacts": manifest["artifacts"],
-        "report": report,
-        "manifest": manifest,
-    }
+    return {"out_dir": str(out), "artifacts": manifest["artifacts"], "report": report, "manifest": manifest}

@@ -233,6 +233,15 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="facid"):
             load_csv(p)
 
+    def test_oversized_field_names_file_and_line(self, tmp_path):
+        header, *lines = FIXTURE.read_text().splitlines()
+        row = lines[0].split(",")
+        row[header.split(",").index("glucose")] = "1" * 200_000  # over csv's default field limit
+        p = tmp_path / "huge.csv"
+        p.write_text("\n".join([header, *lines, ",".join(row)]) + "\n")
+        with pytest.raises(SchemaError, match=rf"huge\.csv, line {len(lines) + 2}: field larger than field limit"):
+            load_csv(p)
+
     def test_header_only_file(self, tmp_path):
         header = FIXTURE.read_text().split("\n", 1)[0]
         p = tmp_path / "empty.csv"

@@ -33,6 +33,19 @@ def random_discrepancies(rng, n):
     return M
 
 
+def reference_knn_adjacency(disc, d):
+    """Per-node loop oracle for build_knn_graph: each node marks its d nearest peers both ways."""
+    ranked = np.array(disc, dtype=float)
+    np.fill_diagonal(ranked, np.inf)
+    n = ranked.shape[0]
+    A = np.zeros((n, n))
+    for i in range(n):
+        nearest = np.argsort(ranked[i], kind="stable")[:d]
+        A[i, nearest] = 1.0
+        A[nearest, i] = 1.0
+    return A
+
+
 class TestEmpiricalGraph:
     def test_neighbors_degrees_edges(self):
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -128,6 +141,20 @@ class TestBuildKnnGraph:
         base = build_knn_graph(D, 2)
         scaled = build_knn_graph(17.3 * D, 2)
         assert np.array_equal(base.adjacency, scaled.adjacency)
+
+    def test_matches_per_node_loop(self):
+        rng = np.random.default_rng(5)
+        for trial in range(400):
+            n = int(rng.integers(2, 40))
+            D = random_discrepancies(rng, n)
+            if trial % 2:  # few distinct integer values: many ties
+                D = np.round(3 * D)
+            d = int(rng.integers(1, n))
+            assert np.array_equal(build_knn_graph(D, d).adjacency, reference_knn_adjacency(D, d)), (n, d)
+        for n in (2, 3, 6):  # every pair tied
+            D = np.ones((n, n)) - np.eye(n)
+            for d in range(1, n):
+                assert np.array_equal(build_knn_graph(D, d).adjacency, reference_knn_adjacency(D, d))
 
     def test_degree_bounds(self):
         D = np.zeros((3, 3))

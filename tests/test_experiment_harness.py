@@ -2,7 +2,9 @@ import configparser
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import textwrap
 from dataclasses import replace
@@ -758,6 +760,57 @@ class TestRunExperiment:
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
         assert [p.name for p in out.parent.iterdir()] == ["out"]  # staging removed
 
+    @pytest.mark.parametrize("dump_data", [False, True])
+    @pytest.mark.parametrize("mode", ["run", "grid", "graph"])
+    def test_manifest_lists_every_file_written(self, tmp_path, mode, dump_data):
+        out = tmp_path / "out"
+        result = run_experiment(synthetic_config(tmp_path), out, mode=mode, dump_data=dump_data)
+        files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        assert json.loads((out / "manifest.json").read_text())["artifacts"] == result["artifacts"] == files
+        assert ("preprocessed/node4_test.csv" in files) == dump_data
+
+    def test_rerun_deletes_stale_artifacts(self, tmp_path, monkeypatch):
+        cfg = synthetic_config(tmp_path)
+        out = tmp_path / "out"
+        run_experiment(cfg, out, mode="grid", algorithm="fedavg1", dump_data=True)
+        (out / "keep.txt").write_text("not listed by any manifest")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        def failing_export(graph, path):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment_harness, "export_edge_list", failing_export)
+            with pytest.raises(OSError, match="disk full"):
+                run_experiment(cfg, out, mode="graph")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before  # a failed run deletes nothing
+        run_experiment(cfg, out, mode="graph")
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == ["graph.edges", "keep.txt", "manifest.json"]
+
+    @pytest.mark.parametrize(
+        "old_manifest, listed_deleted",
+        [
+            ({"artifacts": ["../outside.txt", "metrics.txt"]}, True),
+            ({"artifacts": ["OUTSIDE", "metrics.txt"]}, True),
+            ({"artifacts": "metrics.txt"}, False),
+            ({"artifacts": ["metrics.txt", 1]}, False),
+            (["metrics.txt"], False),
+            ("{not json", False),
+        ],
+        ids=["parent_name", "absolute_name", "names_not_a_list", "name_not_a_string", "not_an_object", "not_json"],
+    )
+    def test_stale_deletion_stays_inside_out(self, tmp_path, old_manifest, listed_deleted):
+        outside = tmp_path / "outside.txt"
+        outside.write_text("outside out")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "metrics.txt").write_text("earlier run")
+        text = old_manifest if isinstance(old_manifest, str) else json.dumps(old_manifest)
+        (out / "manifest.json").write_text(text.replace("OUTSIDE", outside.as_posix()))
+        run_experiment(synthetic_config(tmp_path), out, mode="graph")
+        assert outside.read_text() == "outside out"
+        assert (out / "metrics.txt").exists() != listed_deleted
+
     def test_rerun_replaces_artifacts(self, tmp_path):
         cfg = synthetic_config(tmp_path)
         out = tmp_path / "out"
@@ -1012,6 +1065,21 @@ class TestCli:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    def test_oversized_csv_field_exits_3(self, tmp_path):
+        header, *lines = FIXTURE.read_text().splitlines()
+        row = lines[0].split(",")
+        row[header.split(",").index("glucose")] = "1" * 200_000  # over csv's default field limit
+        (tmp_path / "rows.csv").write_text("\n".join([header, *lines, ",".join(row)]) + "\n")
+        cfg = write_config(tmp_path, "[data]\ncsv = rows.csv\n")
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(out), "--algorithm", "fedavg1")
+        assert result.exit_code == 3, result.output
+        assert result.stderr.startswith("data error: ") and "field larger than field limit" in result.stderr
+        assert "rows.csv, line " in result.stderr
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
     def test_seed_override_changes_splits(self, tmp_path):
         cfg = synthetic_config(tmp_path)
         a = self.run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "a"))
@@ -1024,3 +1092,15 @@ class TestCli:
         ma = json.loads((tmp_path / "a" / "manifest.json").read_text())
         mb = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert ma["seed"] == 42 and mb["seed"] == 9
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("== fedsgd ==\n") and "\n  mean " in proc.stdout
