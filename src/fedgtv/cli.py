@@ -1,8 +1,9 @@
 """Command-line interface: run experiments, grid searches, and graph exports.
 
-Exit codes: 0 success, 2 configuration error (bad config file, bad
-hyperparameters), 3 data error (missing/unreadable/degenerate input files),
-4 training/numerics error (degenerate inputs, disconnected search space).
+Exit codes: 0 success, else the error's ``exit_code`` (see :mod:`fedgtv.errors`):
+2 configuration error (bad config file, bad hyperparameters), 3 data error
+(missing/unreadable/degenerate input files), 4 training/numerics error
+(degenerate inputs, a diverged run, disconnected search space).
 """
 from __future__ import annotations
 
@@ -12,52 +13,25 @@ import sys
 import click
 
 from ._version import __version__
-from .errors import (
-    ConfigError,
-    ConstantFeatureError,
-    DegenerateGraphError,
-    DegenerateInputError,
-    EmptyInputError,
-    NoFeasibleConfigError,
-    ParameterError,
-    SchemaError,
-    ShapeError,
-    SplitError,
-)
+from .errors import FedGTVError
 from .experiment_harness import run_experiment
 from .fed_optimizers import Algorithm
 
-_CONFIG_ERRORS = (ConfigError, ParameterError)
-_DATA_ERRORS = (
-    SchemaError,
-    EmptyInputError,
-    SplitError,
-    ConstantFeatureError,
-    FileNotFoundError,
-    IsADirectoryError,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
-)
-_TRAINING_ERRORS = (
-    DegenerateInputError,
-    DegenerateGraphError,
-    ShapeError,
-    NoFeasibleConfigError,
-)
+_PREFIX = {2: "config", 3: "data", 4: "training"}  # message prefix by exit code
+
+
+def _exit(code: int, exc: Exception) -> None:
+    click.echo(f"{_PREFIX[code]} error: {exc}", err=True)
+    sys.exit(code)
 
 
 def _execute(mode: str, **kwargs) -> None:
     try:
         result = run_experiment(mode=mode, **kwargs)
-    except _CONFIG_ERRORS as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except _DATA_ERRORS as exc:
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(3)
-    except _TRAINING_ERRORS as exc:
-        click.echo(f"training error: {exc}", err=True)
-        sys.exit(4)
+    except FedGTVError as exc:
+        _exit(exc.exit_code, exc)
+    except (FileNotFoundError, IsADirectoryError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        _exit(3, exc)  # a missing or unreadable input file
     if result["report"] is not None:
         click.echo(result["report"].to_text(), nl=False)
     if "graph" in result["manifest"]:

@@ -40,6 +40,21 @@ from .errors import (
     SplitError,
 )
 
+__all__ = [
+    "CsvSchema",
+    "FEATURE_DIM",
+    "FEATURE_NAMES",
+    "LocalDataset",
+    "SyntheticSpec",
+    "dump_preprocessed",
+    "engineer_features",
+    "generate_synthetic",
+    "load_csv",
+    "load_preprocessed",
+    "normalize",
+    "split_dataset",
+]
+
 RCOUNT_CATEGORIES = ("0", "1", "2", "3", "4", "5+")
 RCOUNT_SLOT = {c: float(i) for i, c in enumerate(RCOUNT_CATEGORIES)}
 GENDER_VALUE = {"M": 1.0, "F": 0.0}
@@ -409,9 +424,7 @@ def dump_preprocessed(datasets: Sequence[LocalDataset], out_dir) -> list[Path]:
             X, y = ds.split(split_name)
             path = out / f"node{ds.node_id}_{split_name}.csv"
             with path.open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(list(names) + ["label"])
-                for row, label in zip(X, y):
-                    writer.writerow([f"{v:.17g}" for v in row] + [f"{label:.17g}"])
+                csv.writer(fh).writerow(list(names) + ["label"])
+                np.savetxt(fh, np.column_stack([X, y]), fmt="%.17g", delimiter=",", newline="\r\n")
             written.append(path)
     return written

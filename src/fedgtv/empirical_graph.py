@@ -17,6 +17,16 @@ from .data_pipeline import LocalDataset
 from .errors import DegenerateGraphError, DegenerateInputError, ParameterError, ShapeError
 from .model_core import least_squares_fit
 
+__all__ = [
+    "EmpiricalGraph",
+    "build_knn_graph",
+    "discrepancy_matrix",
+    "export_edge_list",
+    "graph_summary",
+    "is_connected",
+    "pretrain_local_weights",
+]
+
 
 @dataclass
 class EmpiricalGraph:

@@ -17,7 +17,7 @@ import math
 import platform
 import shutil
 import tempfile
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence, get_args, get_type_hints
 
@@ -45,6 +45,7 @@ from .empirical_graph import (
 from .errors import (
     ConfigError,
     DegenerateInputError,
+    DivergenceError,
     NoFeasibleConfigError,
     ParameterError,
     SchemaError,
@@ -52,6 +53,21 @@ from .errors import (
 from .fed_optimizers import Algorithm, OptimizerConfig, TrainingTrace, _losses, _split_parts, train, train_cells
 # mse_loss stays importable here: the benchmark's tracer wraps it at this path.
 from .model_core import mse_loss  # noqa: F401
+
+__all__ = [
+    "AlgorithmMetrics",
+    "ExperimentConfig",
+    "GridCell",
+    "GridSearchResult",
+    "GridSpec",
+    "MetricsReport",
+    "evaluate",
+    "load_experiment_config",
+    "load_synthetic_spec",
+    "run_experiment",
+    "run_grid_search",
+    "select_best",
+]
 
 ALL_ALGORITHMS = (Algorithm.FEDSGD, Algorithm.FEDAVG1, Algorithm.FEDAVG2)
 
@@ -220,16 +236,6 @@ class GridCell:
     degree: int | None = None
     connected: bool = True
     val_mse: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "eta": self.eta,
-            "alpha": self.alpha,
-            "degree": self.degree,
-            "connected": self.connected,
-            "val_mse": self.val_mse,
-        }
 
 
 @dataclass
@@ -550,6 +556,14 @@ def _hyperparameters(algorithm: Algorithm, eta, alpha, degree) -> dict:
     return {"eta": eta}
 
 
+def _check_finite(algorithm: Algorithm, trace: TrainingTrace, datasets: Sequence[LocalDataset]) -> None:
+    """Raise DivergenceError at the first trace round where a node's training loss is not finite."""
+    for k, losses in zip(trace.rounds, trace.node_losses):
+        for ds, loss in zip(datasets, losses.tolist()):
+            if not math.isfinite(loss):
+                raise DivergenceError(f"{algorithm.value} diverged: round {k}: node {ds.node_id}: non-finite training loss")
+
+
 def _load_datasets(cfg: ExperimentConfig):
     """Returns (datasets, source manifest entry)."""
     if cfg.data_path is not None and cfg.synthetic_path is not None:
@@ -615,13 +629,15 @@ def run_experiment(
     """Execute one experiment and write its artifacts to ``out_dir``.
 
     Modes: "run" trains the configured algorithms at the fixed [optimizer]
-    settings; "grid" runs the hyperparameter search and reports each
-    algorithm's winner from the weights and trace the search already trained;
-    "graph" only builds and exports the empirical graph. Each mode passes
-    through the same stages once: load, graph, train, report, commit.
-    Nothing is written until every computation has succeeded. The artifacts
-    are written to a sibling staging directory, the manifest lists the files
-    actually written there, and all of them move into ``out_dir`` only once
+    settings and raises DivergenceError, naming the algorithm, round and
+    node, if a training loss in a trace is not finite; "grid" runs the
+    hyperparameter search and reports each algorithm's winner from the
+    weights and trace the search already trained; "graph" only builds and
+    exports the empirical graph. Each mode passes through the same stages
+    once: load, graph, train, report, commit. Nothing is written until every
+    computation has succeeded. The artifacts are written to a sibling
+    staging directory, the manifest lists the files actually written there,
+    and all of them move into ``out_dir``, the manifest last, only once
     every one is written, so a failure leaves no partial artifacts. Once the
     moves succeed, files that an earlier run's manifest in ``out_dir`` lists
     and this run did not write are deleted. Identical inputs produce
@@ -669,7 +685,9 @@ def run_experiment(
             "batch_size": cfg.batch_size, "max_iterations": cfg.max_iterations,
         }
         for algo in cfg.algorithms:
-            W, trace = train(datasets, graph if algo is Algorithm.FEDSGD else None, cfg.optimizer_config(algo))
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+                W, trace = train(datasets, graph if algo is Algorithm.FEDSGD else None, cfg.optimizer_config(algo))
+            _check_finite(algo, trace, datasets)
             fits.append((algo, _hyperparameters(algo, cfg.eta, cfg.alpha, cfg.degree), W, trace))
     elif mode == "grid":
         result = run_grid_search(
@@ -677,7 +695,7 @@ def run_experiment(
             seed=cfg.seed, trace_every=cfg.trace_every,
         )
         artifacts["grid.csv"] = _render_grid_csv(result.cells)
-        manifest["selected"] = {name: cell.to_dict() for name, cell in sorted(result.best.items())}
+        manifest["selected"] = {name: asdict(cell) for name, cell in sorted(result.best.items())}
         for algo in cfg.grid.algorithms:
             best = result.best[algo.value]
             W, trace, _ = result.trained[algo.value]
@@ -707,10 +725,11 @@ def run_experiment(
             written.append(export_edge_list(graph, staging / "graph.edges"))
         if dump_data:
             written += dump_preprocessed(datasets, staging / "preprocessed")
-        manifest["artifacts"] = sorted([p.relative_to(staging).as_posix() for p in written] + ["manifest.json"])
+        names = [p.relative_to(staging).as_posix() for p in written] + ["manifest.json"]
+        manifest["artifacts"] = sorted(names)
         (staging / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        stale = _stale_artifacts(out, manifest["artifacts"])
-        for name in manifest["artifacts"]:
+        stale = _stale_artifacts(out, names)
+        for name in names:  # manifest.json last: it never lists a file that has not moved yet
             (out / name).parent.mkdir(parents=True, exist_ok=True)
             (staging / name).replace(out / name)
         for path in stale:

@@ -64,6 +64,18 @@ from .model_core import (  # noqa: F401
     proximal_step_gram,
 )
 
+__all__ = [
+    "Algorithm",
+    "OptimizerConfig",
+    "TrainingTrace",
+    "fedavg_v1_round",
+    "fedavg_v2_round",
+    "fedsgd_round",
+    "gtv_objective",
+    "train",
+    "train_cells",
+]
+
 
 class Algorithm(str, Enum):
     """Selectable training algorithms."""

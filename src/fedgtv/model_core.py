@@ -10,6 +10,14 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, ShapeError
 
+__all__ = [
+    "least_squares_fit",
+    "mse_gradient",
+    "mse_loss",
+    "proximal_step",
+    "proximal_step_gram",
+]
+
 
 def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)

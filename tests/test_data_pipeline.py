@@ -27,6 +27,7 @@ from fedgtv.data_pipeline import (
 )
 from fedgtv.errors import (
     ConstantFeatureError,
+    DegenerateInputError,
     EmptyInputError,
     ParameterError,
     SchemaError,
@@ -456,6 +457,10 @@ class TestNormalize:
         with pytest.raises(ConstantFeatureError, match="f0"):
             normalize(make_dataset([5.0, 5.0, 5.0]))
 
+    def test_empty_training_split_rejected(self):
+        with pytest.raises(DegenerateInputError, match="empty training split"):
+            normalize(make_dataset([], val_col=[1.0, 2.0]))
+
     @pytest.mark.parametrize(
         "train_col",
         [[1.0, 1e300, -1e300, 2.0], [1e308, 1e308, 1e308]],
@@ -525,6 +530,16 @@ class TestGenerateSynthetic:
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
             SyntheticSpec(2, (2, 2), 3, (0, 0), ((1.0, 1.0, 1.0),))  # rows < dim
+        with pytest.raises(ParameterError, match="node_count must be >= 1"):
+            SyntheticSpec(0, (), 3, (), ((1.0, 1.0, 1.0),))
+        with pytest.raises(ParameterError, match="feature_dim must be >= 1"):
+            SyntheticSpec(2, (5, 5), 0, (0, 0), ((),))
+        with pytest.raises(ParameterError, match="one cluster per node"):
+            SyntheticSpec(2, (5, 5), 3, (0,), ((1.0, 1.0, 1.0),))
+        with pytest.raises(ParameterError, match="feature_dim entries"):
+            SyntheticSpec(2, (5, 5), 3, (0, 0), ((1.0, 1.0),))
+        with pytest.raises(ParameterError, match="seed must be non-negative"):
+            SyntheticSpec(2, (5, 5), 3, (0, 0), ((1.0, 1.0, 1.0),), seed=-1)
         with pytest.raises(ParameterError):
             SyntheticSpec(2, (5,), 3, (0, 0), ((1.0, 1.0, 1.0),))
         with pytest.raises(ParameterError):
@@ -549,6 +564,8 @@ class TestLoadPreprocessed:
             for ds in datasets
         ]
         assert sizes == [(3, 1, 1), (2, 1, 1)]
+        with pytest.raises(ParameterError, match="unknown split 'holdout'"):
+            datasets[0].split("holdout")
 
     def test_train_columns_standardized(self):
         datasets, _ = load_preprocessed(FIXTURE, seed=42)
@@ -574,3 +591,14 @@ class TestDumpPreprocessed:
         sample = (tmp_path / "dump" / "node1_train.csv").read_text().strip().split("\n")
         assert sample[0].split(",") == list(FEATURE_NAMES) + ["label"]
         assert len(sample) == 1 + 3
+
+    def test_exact_bytes_without_feature_names(self, tmp_path):
+        # unnamed features are f0, f1, ...; values at %.17g, CRLF line ends, empty splits hold the header
+        X = np.array([[1e300, -0.0], [1e-300, 0.1], [2.0, -3.5]])
+        y = np.array([1.0, -0.0, 7.25])
+        ds = LocalDataset(4, (X, y), (X[:1], y[:1]), (X[:0], y[:0]), numeric_columns=np.arange(2))
+        written = dump_preprocessed([ds], tmp_path)
+        assert [p.name for p in written] == ["node4_train.csv", "node4_val.csv", "node4_test.csv"]
+        header, first = b"f0,f1,label\r\n", b"1.0000000000000001e+300,-0,1\r\n"
+        rest = b"1e-300,0.10000000000000001,-0\r\n2,-3.5,7.25\r\n"
+        assert [p.read_bytes() for p in written] == [header + first + rest, header + first, header]

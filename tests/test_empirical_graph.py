@@ -169,6 +169,10 @@ class TestBuildKnnGraph:
             build_knn_graph(np.array([[1.0, 1.0], [1.0, 0.0]]), 1)
         with pytest.raises(ShapeError):
             build_knn_graph(np.array([[0.0, -1.0], [-1.0, 0.0]]), 1)
+        with pytest.raises(ShapeError, match="must be square"):
+            build_knn_graph(np.zeros((2, 3)), 1)
+        with pytest.raises(DegenerateGraphError, match="need at least 2 nodes, got 1"):
+            build_knn_graph(np.zeros((1, 1)), 1)
 
 
 class TestIsConnected:

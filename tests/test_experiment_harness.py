@@ -19,6 +19,8 @@ from fedgtv.cli import main
 from fedgtv.data_pipeline import CsvSchema, LocalDataset, SyntheticSpec, generate_synthetic
 from fedgtv.errors import (
     ConfigError,
+    DegenerateInputError,
+    DivergenceError,
     NoFeasibleConfigError,
     ParameterError,
     SchemaError,
@@ -80,6 +82,21 @@ def cluster_datasets():
             seed=3,
         )
     )
+
+
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for a fresh interpreter."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def diverging_config(tmp_path):
+    """A run config whose fedsgd and fedavg1 iterates overflow at eta = 5."""
+    spec = {
+        "node_count": 5, "rows_per_node": [200] * 5, "feature_dim": 3, "cluster_assignment": [0, 0, 1, 1, 1],
+        "cluster_weights": [[20.0, -10.0, 5.0], [-2.0, 1.0, -0.5]], "noise_std": 0.1, "seed": 3,
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    return write_config(tmp_path, "[data]\nsynthetic = spec.json\n\n[optimizer]\neta = 5.0\n")
 
 
 def write_config(tmp_path, body):
@@ -383,6 +400,10 @@ class TestRunGridSearch:
         grid = GridSpec(alphas=(0.1,), etas=(0.05,), degrees=(4,), algorithms=("fedsgd",))
         with pytest.raises(ParameterError):
             run_grid_search(datasets, grid, max_iterations=10)
+
+    def test_no_datasets(self):
+        with pytest.raises(DegenerateInputError, match="no datasets to search over"):
+            run_grid_search([])
 
     def test_averaging_only_grid_needs_no_graph(self):
         datasets = cluster_datasets()
@@ -704,6 +725,25 @@ class TestRunExperiment:
         )
         with pytest.raises(ConfigError):
             run_experiment(cfg, tmp_path / "out", mode="run")
+        with pytest.raises(ConfigError, match="pass at most one of --data and --synthetic"):
+            run_experiment(cfg, tmp_path / "out", data=FIXTURE, synthetic=tmp_path / "spec.json")
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_mode_rejected(self, tmp_path):
+        with pytest.raises(ParameterError, match="unknown mode 'train'"):
+            run_experiment(synthetic_config(tmp_path), tmp_path / "out", mode="train")
+
+    @pytest.mark.parametrize("algorithm, k", [("fedsgd", 150), ("fedavg1", 200)])
+    def test_diverged_run_raises(self, tmp_path, algorithm, k):
+        # no RuntimeWarning escapes: pytest would turn it into an error
+        out = tmp_path / "out"
+        message = f"{algorithm} diverged: round {k}: node 1: non-finite training loss"
+        with pytest.raises(DivergenceError, match=f"^{message}$"):
+            run_experiment(diverging_config(tmp_path), out, mode="run", algorithm=algorithm)
+        assert not out.exists()
+        run_experiment(diverging_config(tmp_path), out, mode="run", algorithm="fedavg2")  # the proximal step stays finite
+        metrics = (out / "metrics.json").read_text()
+        assert "NaN" not in metrics and "Infinity" not in metrics
 
     def test_no_source_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "[optimizer]\neta = 0.1\n")
@@ -746,6 +786,24 @@ class TestRunExperiment:
         ]
         best = {name: GridCell(**cell) for name, cell in result["manifest"]["selected"].items()}
         assert_cells_match_solo(datasets, cells, best, runs)
+
+    def test_failed_move_keeps_earlier_manifest(self, tmp_path, monkeypatch):
+        # manifest.json moves last, so a failed move never leaves it naming files that did not move
+        cfg = synthetic_config(tmp_path)
+        out = tmp_path / "out"
+        run_experiment(cfg, out, mode="run", algorithm="fedavg1")
+        before = (out / "manifest.json").read_bytes()
+        move = Path.replace
+
+        def failing_move(self, target):
+            if Path(target).name == "metrics.json":
+                raise PermissionError("metrics.json is locked")
+            return move(self, target)
+
+        monkeypatch.setattr(Path, "replace", failing_move)
+        with pytest.raises(PermissionError, match="locked"):
+            run_experiment(cfg, out, mode="run", algorithm="fedavg2")
+        assert (out / "manifest.json").read_bytes() == before
 
     def test_failed_write_leaves_out_dir_untouched(self, tmp_path, monkeypatch):
         def failing_export(graph, path):
@@ -891,6 +949,10 @@ class TestCli:
         cfg = write_config(tmp_path, "[optimizer]\neta = fast\n")
         result = self.run_cli("run", "--config", str(cfg))
         assert result.exit_code == 2
+        cfg.write_text("eta = fast\n")  # no section header: the file does not parse
+        result = self.run_cli("run", "--config", str(cfg))
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"config error: {cfg}: File contains no section headers.")
 
     @pytest.mark.parametrize(
         "body, args, message",
@@ -1080,6 +1142,17 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert not out.exists()
 
+    def test_diverged_run_exits_4(self, tmp_path):
+        # a fresh interpreter, so that a numpy RuntimeWarning would show on stderr
+        cfg, out = diverging_config(tmp_path), tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedgtv.cli", "run", "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == "training error: fedsgd diverged: round 150: node 1: non-finite training loss\n"
+        assert not out.exists()
+
     def test_seed_override_changes_splits(self, tmp_path):
         cfg = synthetic_config(tmp_path)
         a = self.run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "a"))
@@ -1097,10 +1170,9 @@ class TestCli:
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     code = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("== fedsgd ==\n") and "\n  mean " in proc.stdout

@@ -113,6 +113,8 @@ class TestGtvObjective:
         graph = graph_from_edges(2, [(0, 1)])
         with pytest.raises(ShapeError):
             gtv_objective(np.zeros((3, 3)), datasets, graph, alpha=0.1)
+        with pytest.raises(ShapeError, match="2 weight rows for 3 datasets"):
+            gtv_objective(np.zeros((2, 3)), datasets, graph, alpha=0.1)
 
 
 class TestFedsgdRound:
@@ -203,6 +205,8 @@ class TestFedsgdRound:
         config = OptimizerConfig("fedsgd", eta=0.1)
         with pytest.raises(DegenerateInputError):
             fedsgd_round(np.zeros((2, 2)), [empty, other], graph, config, round_index=0)
+        with pytest.raises(DegenerateInputError, match="node 1: empty training split"):
+            gtv_objective(np.zeros((2, 2)), [empty, other], graph, alpha=0.1)
 
 
 class TestFedavgV1Round:
@@ -316,6 +320,9 @@ class TestStackedCells:
             train_cells(datasets, [None], [config] * 2)
         with pytest.raises(ParameterError):
             train_cells(datasets, [], [])
+        fedsgd = replace(config, algorithm="fedsgd")
+        with pytest.raises(ShapeError, match="round 0: graph has 2 nodes but weight stack has 3"):
+            train_cells(datasets, [graph_from_edges(2, [(0, 1)])], [fedsgd])
 
     def test_split_losses_nan_on_empty_split(self):
         # the one (C, n) scorer behind trace points, evaluate and grid val scores

@@ -61,10 +61,21 @@ class TestMseLoss:
     def test_empty_dataset(self):
         with pytest.raises(DegenerateInputError):
             mse_loss(np.zeros((0, 2)), np.zeros(0), np.zeros(2))
+        # the other checked kernels reject empty data the same way
+        with pytest.raises(DegenerateInputError, match="MSE gradient is undefined"):
+            mse_gradient(np.zeros((0, 2)), np.zeros(0), np.zeros(2))
+        with pytest.raises(DegenerateInputError, match="proximal step is undefined"):
+            proximal_step(np.zeros((0, 2)), np.zeros(0), np.zeros(2), eta=1.0)
+        with pytest.raises(DegenerateInputError, match="proximal step is undefined"):
+            proximal_step_gram(np.zeros((2, 2)), np.zeros(2), 0, np.zeros(2), eta=1.0)
 
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeError):
             mse_loss(np.eye(2), [1.0, 2.0, 3.0], [0.0, 0.0])
+        with pytest.raises(ShapeError, match="expected 2-D feature matrix"):
+            mse_loss([1.0, 2.0], [1.0, 2.0], [0.0, 0.0])
+        with pytest.raises(ShapeError, match="expected 1-D label vector"):
+            mse_loss(np.eye(2), [[1.0], [2.0]], [0.0, 0.0])
 
     @pytest.mark.parametrize("m", [1, 7, 100, 513, 3000])
     @pytest.mark.parametrize("d", [3, 19])
