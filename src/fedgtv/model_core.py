@@ -106,7 +106,7 @@ def proximal_step(X, y, w_anchor, eta: float) -> np.ndarray:
 
         ((2/m) X^T X + (2/eta) I) v = (2/m) X^T y + (2/eta) w_anchor,
 
-    which is positive definite for every eta > 0. Small eta pins v to the
+    which is positive definite for every finite eta > 0. Small eta pins v to the
     anchor; large eta approaches the unconstrained least-squares fit.
     """
     X, y = _as_xy(X, y)
@@ -125,29 +125,32 @@ def proximal_step_gram(xtx, xty, m, w_anchor, eta: float) -> np.ndarray:
             f"expected one system, got xtx {xtx.shape}, xty {xty.shape}, "
             f"anchor {w_anchor.shape}, m {m.shape}, eta {eta.shape}"
         )
-    if not eta > 0:
-        raise ParameterError(f"eta must be positive, got {eta}")
+    # at eta = inf the pull vanishes and a rank-deficient X^T X is singular
+    if not (np.isfinite(eta) and eta > 0):
+        raise ParameterError(f"eta must be positive and finite, got {eta}")
     if m < 1:
         raise DegenerateInputError("proximal step is undefined on an empty dataset")
     return _proximal_solve(_proximal_system(xtx, xty, m, eta), w_anchor)
 
 
 def _proximal_system(xtx, xty, m, eta):
-    """The anchor-free parts of :func:`proximal_step_gram`'s system, unchecked.
+    """:func:`proximal_step_gram`'s step as an affine map of its anchor, unchecked.
 
-    Returns ``((2/m) X^T X + (2/eta) I, (2/m) X^T y, 2/eta)``. ``xtx`` of
-    shape (..., d, d), ``xty`` of shape (..., d), and ``m`` and ``eta``
-    arrays whose leading axes broadcast with theirs build every system at
-    once; :func:`_proximal_solve` then solves each bitwise as alone.
+    With ``A = (2/m) X^T X + (2/eta) I`` the step is ``c + P w_anchor``; one
+    solve of ``A`` against ``[(2/m) X^T y | (2/eta) I]`` returns the pair
+    ``(c, P)``. ``xtx`` of shape (..., d, d), ``xty`` of shape (..., d), and
+    ``m`` and ``eta`` arrays whose leading axes broadcast with theirs build
+    every pair at once, each bitwise as alone.
     """
     scale = (2.0 / m)[..., None]
-    pull = (2.0 / eta)[..., None]
-    lhs = scale[..., None] * xtx + pull[..., None] * np.eye(xtx.shape[-1])
-    return lhs, scale * xty, pull
+    pull = (2.0 / eta)[..., None, None] * np.eye(xtx.shape[-1])
+    lhs = scale[..., None] * xtx + pull
+    offset = np.broadcast_to((scale * xty)[..., None], lhs.shape[:-1] + (1,))
+    solved = np.linalg.solve(lhs, np.concatenate([offset, np.broadcast_to(pull, lhs.shape)], axis=-1))
+    return solved[..., 0], solved[..., 1:]
 
 
 def _proximal_solve(system, w_anchor) -> np.ndarray:
-    """Solve a :func:`_proximal_system` around ``w_anchor``, unchecked."""
-    lhs, scaled_xty, pull = system
-    rhs = scaled_xty + pull * w_anchor
-    return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    """The step ``c + P w_anchor`` of a :func:`_proximal_system` pair: one matrix-vector product, unchecked."""
+    offset, gain = system
+    return offset + np.matmul(gain, w_anchor[..., None])[..., 0]

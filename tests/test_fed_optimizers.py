@@ -289,6 +289,37 @@ class TestFedavgV2Round:
         stepped = np.array([proximal_step(*ds.train, W[i], 0.7) for i, ds in enumerate(datasets)])
         assert np.array_equal(out[0], stepped.mean(axis=0))
 
+    def test_round_matches_ridge_oracle(self, public_design):
+        rng = np.random.default_rng(23)
+        cases = [(synthetic_datasets(n=4, rows=25, dim=5, seed=s), eta) for s, eta in ((1, 0.3), (2, 4.0))]
+        public = [make_ds(*public_design(rng, m), node_id=i + 1) for i, m in enumerate((120, 200, 310))]
+        cases += [(public, eta) for eta in (0.1, 1.0, 10.0)]
+        for datasets, eta in cases:
+            # anchors that differ per node, as before a first averaging
+            W = rng.standard_normal((len(datasets), datasets[0].train[0].shape[1]))
+            out = fedavg_v2_round(W, datasets, OptimizerConfig("fedavg2", eta=eta))
+            # an independent solve of each node's proximal system
+            steps = []
+            for (X, y), w in zip((ds.train for ds in datasets), W):
+                scale = 2.0 / len(y)
+                lhs = scale * (X.T @ X) + (2.0 / eta) * np.eye(X.shape[1])
+                steps.append(np.linalg.solve(lhs, scale * (X.T @ y) + (2.0 / eta) * w))
+            expected = np.mean(steps, axis=0)
+            assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("eta", [0.1, 1.0, 10.0])
+    def test_public_layout_null_direction_stays_empty(self, public_design, eta):
+        # the rcount slots sum to the intercept, so v = (slots - intercept) / sqrt(7)
+        # is in the null space of every node's X; steps from zero map range(X^T)
+        # into itself and must not drift along v
+        rng = np.random.default_rng(29)
+        datasets = [make_ds(*public_design(rng, m), node_id=i + 1) for i, m in enumerate((300, 450, 600, 380))]
+        v = np.zeros(19)
+        v[:6], v[18] = 1.0, -1.0
+        v /= math.sqrt(7.0)
+        W, _ = train(datasets, None, OptimizerConfig("fedavg2", eta=eta, max_iterations=1000))
+        assert np.max(np.abs(W @ v)) <= 1e-10
+
 
 class TestStackedCells:
     @pytest.mark.parametrize(

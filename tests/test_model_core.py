@@ -240,11 +240,16 @@ class TestProximalStep:
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
 
     def test_non_positive_eta_rejected(self):
-        for eta in (0.0, -1.0):
+        for eta in (0.0, -1.0, np.inf):
             with pytest.raises(ParameterError):
                 proximal_step([[1.0]], [1.0], [0.0], eta=eta)
             with pytest.raises(ParameterError):
                 proximal_step_gram(np.eye(2), np.ones(2), 3, np.zeros(2), eta=eta)
+        # at eta = inf the pull vanishes, so a rank-deficient design is singular
+        with pytest.raises(ParameterError, match="eta must be positive and finite, got inf"):
+            proximal_step([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], [0.0, 0.0], float("inf"))
+        with pytest.raises(ParameterError, match="eta must be positive and finite, got inf"):
+            proximal_step_gram([[5.0, 5.0], [5.0, 5.0]], [5.0, 5.0], 2, [0.0, 0.0], float("inf"))
 
     def test_gram_variant_is_bitwise_identical(self):
         rng = np.random.default_rng(11)
