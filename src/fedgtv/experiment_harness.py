@@ -3,10 +3,11 @@
 The harness ties the pipeline together: load (or generate) per-node datasets,
 build the empirical graph where needed, train one or more algorithms, and
 write deterministic artifacts (metrics report, training traces, graph edge
-list, run manifest) to an output directory. Hyperparameter search follows the
-protocol of sweeping alpha x eta x degree for fedsgd (dropping degree values
-whose graph is disconnected) and eta alone for the averaging variants, picking
-the lowest mean validation MSE.
+list, run manifest) to an output directory. Hyperparameter search sweeps
+alpha x eta x degree for fedsgd (skipping degrees whose graph is disconnected)
+and eta alone for the averaging variants, picking the lowest mean validation
+MSE. ``run`` is the search's one-cell case: both train and score through one
+per-algorithm step, so neither prints a numpy warning.
 """
 from __future__ import annotations
 
@@ -50,8 +51,9 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
-from .fed_optimizers import Algorithm, OptimizerConfig, TrainingTrace, _losses, _split_parts, train, train_cells
-# mse_loss stays importable here: the benchmark's tracer wraps it at this path.
+from .fed_optimizers import Algorithm, OptimizerConfig, TrainingTrace, _losses, _split_parts, train_cells
+# train and mse_loss stay importable here: the benchmark's tracer wraps them at this path.
+from .fed_optimizers import train  # noqa: F401
 from .model_core import mse_loss  # noqa: F401
 
 __all__ = [
@@ -139,18 +141,16 @@ class AlgorithmMetrics:
         return float(np.mean(self.test_mse))
 
     def to_dict(self) -> dict:
+        """Strict-JSON ready: a non-finite score (an empty split's NaN) is None."""
+        scores = lambda values: [v if math.isfinite(v) else None for v in values]
         return {
             "algorithm": self.algorithm,
             "hyperparameters": dict(self.hyperparameters),
             "node_ids": list(self.node_ids),
-            "train_mse": list(self.train_mse),
-            "val_mse": list(self.val_mse),
-            "test_mse": list(self.test_mse),
-            "mean": {
-                "train": self.mean_train,
-                "val": self.mean_val,
-                "test": self.mean_test,
-            },
+            "train_mse": scores(self.train_mse),
+            "val_mse": scores(self.val_mse),
+            "test_mse": scores(self.test_mse),
+            "mean": dict(zip(("train", "val", "test"), scores([self.mean_train, self.mean_val, self.mean_test]))),
         }
 
 
@@ -307,7 +307,7 @@ def run_grid_search(
     settings = dict(batch_size=batch_size, max_iterations=max_iterations, seed=seed, trace_every=trace_every)
     disc = None
     for algorithm in grid.algorithms:
-        # (eta, alpha, degree, graph, connected) per cell, in record order
+        # (GridCell, graph) per cell, in record order
         if algorithm is Algorithm.FEDSGD:
             n = len(datasets)
             bad = [d for d in grid.degrees if not 1 <= d <= n - 1]
@@ -315,29 +315,40 @@ def run_grid_search(
                 raise ParameterError(f"grid degrees {bad} outside [1, {n - 1}]")
             if disc is None:
                 disc = discrepancy_matrix(pretrain_local_weights(datasets))
-            specs = []
+            candidates = []
             for d in grid.degrees:
                 graph = build_knn_graph(disc, d)
                 connected = is_connected(graph)
-                specs += [
-                    (eta, alpha, d, graph, connected) for alpha in grid.alphas for eta in grid.etas
+                candidates += [
+                    (GridCell(algorithm.value, eta, alpha, d, connected), graph)
+                    for alpha in grid.alphas for eta in grid.etas
                 ]
         else:
-            specs = [(eta, None, None, None, True) for eta in grid.etas]
-        live = [s for s in specs if s[4]]
-        configs = [OptimizerConfig(algorithm, eta, alpha or 0.0, **settings) for eta, alpha, *_ in live]
-        W, traces = train_cells(datasets, [s[3] for s in live], configs) if live else ((), ())
-        fits = {s[:3]: (w, trace, s[3]) for s, w, trace in zip(live, W, traces)}
-        val = _losses(_split_parts(datasets, "val", W), W) if live else ()
-        val_mse = {s[:3]: float(np.mean(row)) for s, row in zip(live, val)}
-        algo_cells = [
-            GridCell(algorithm.value, eta, alpha, d, connected, val_mse.get((eta, alpha, d)))
-            for eta, alpha, d, _, connected in specs
-        ]
-        cells.extend(algo_cells)
+            candidates = [(GridCell(algorithm.value, eta), None) for eta in grid.etas]
+        fits = iter(_train_step(datasets, [c for c in candidates if c[0].connected], settings))
+        records = [next(fits) if cell.connected else (cell,) for cell, _ in candidates]
+        algo_cells = [record[0] for record in records]
+        cells += algo_cells
         winner = best[algorithm.value] = select_best(algo_cells)
-        trained[algorithm.value] = fits[winner.eta, winner.alpha, winner.degree]
+        trained[algorithm.value] = next(record[1:] for record in records if record[0] is winner)
     return GridSearchResult(cells=cells, best=best, trained=trained)
+
+
+def _train_step(datasets: Sequence[LocalDataset], candidates: Sequence[tuple], settings: Mapping) -> list[tuple]:
+    """Train one algorithm's ``(GridCell, graph)`` candidates in one :func:`train_cells` call; score each on val.
+
+    A cell's eta and alpha (0 for None) and the shared ``settings`` make its OptimizerConfig. Returns one
+    ``(cell with its val_mse, W, trace, graph)`` per candidate; a diverging cell scores non-finite, with no warning.
+    """
+    if not candidates:
+        return []
+    cells, graphs = zip(*candidates)
+    configs = [OptimizerConfig(cell.algorithm, cell.eta, cell.alpha or 0.0, **settings) for cell in cells]
+    with np.errstate(over="ignore", invalid="ignore"):
+        W, traces = train_cells(datasets, graphs, configs)
+        val = _losses(_split_parts(datasets, "val", W), W)
+        cells = [replace(cell, val_mse=float(np.mean(row))) for cell, row in zip(cells, val)]
+    return list(zip(cells, W, traces, graphs))
 
 
 @dataclass
@@ -362,17 +373,6 @@ class ExperimentConfig:
     max_iterations: int = 1000
     trace_every: int = 50
     grid: GridSpec = field(default_factory=GridSpec)
-
-    def optimizer_config(self, algorithm: Algorithm) -> OptimizerConfig:
-        return OptimizerConfig(
-            algorithm=algorithm,
-            eta=self.eta,
-            alpha=self.alpha,
-            batch_size=self.batch_size,
-            max_iterations=self.max_iterations,
-            seed=self.seed,
-            trace_every=self.trace_every,
-        )
 
 
 def _items(raw: str) -> list[str]:
@@ -550,18 +550,17 @@ def _render_grid_csv(cells: Sequence[GridCell]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _hyperparameters(algorithm: Algorithm, eta, alpha, degree) -> dict:
-    if algorithm is Algorithm.FEDSGD:
-        return {"alpha": alpha, "eta": eta, "degree": degree}
-    return {"eta": eta}
+def _hyperparameters(cell: GridCell) -> dict:
+    """The cell's alpha, eta and degree, in report order, less an averaging variant's Nones."""
+    return {key: getattr(cell, key) for key in ("alpha", "eta", "degree") if getattr(cell, key) is not None}
 
 
-def _check_finite(algorithm: Algorithm, trace: TrainingTrace, datasets: Sequence[LocalDataset]) -> None:
+def _check_finite(algorithm: str, trace: TrainingTrace, datasets: Sequence[LocalDataset]) -> None:
     """Raise DivergenceError at the first trace round where a node's training loss is not finite."""
     for k, losses in zip(trace.rounds, trace.node_losses):
         for ds, loss in zip(datasets, losses.tolist()):
             if not math.isfinite(loss):
-                raise DivergenceError(f"{algorithm.value} diverged: round {k}: node {ds.node_id}: non-finite training loss")
+                raise DivergenceError(f"{algorithm} diverged: round {k}: node {ds.node_id}: non-finite training loss")
 
 
 def _load_datasets(cfg: ExperimentConfig):
@@ -678,28 +677,25 @@ def run_experiment(
         graph = build_knn_graph(discrepancy_matrix(pretrain_local_weights(datasets)), cfg.degree)
 
     artifacts: dict[str, str] = {}
-    fits = []  # one (algorithm, hyperparameters, W, trace) record per trained algorithm
+    fits = []  # one (GridCell, W, trace, graph) record per trained algorithm
+    settings = {key: getattr(cfg, key) for key in ("batch_size", "max_iterations", "seed", "trace_every")}
     if mode == "run":
         manifest["optimizer"] = {
             "algorithms": [a.value for a in cfg.algorithms], "eta": cfg.eta, "alpha": cfg.alpha,
             "batch_size": cfg.batch_size, "max_iterations": cfg.max_iterations,
         }
+        OptimizerConfig(Algorithm.FEDSGD, cfg.eta, cfg.alpha, **settings)  # checks alpha also when nothing uses it
         for algo in cfg.algorithms:
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
-                W, trace = train(datasets, graph if algo is Algorithm.FEDSGD else None, cfg.optimizer_config(algo))
-            _check_finite(algo, trace, datasets)
-            fits.append((algo, _hyperparameters(algo, cfg.eta, cfg.alpha, cfg.degree), W, trace))
+            # the one difference from a grid cell: fedsgd trains on the configured graph even when it is disconnected
+            fedsgd = algo is Algorithm.FEDSGD
+            cell = GridCell(algo.value, cfg.eta, cfg.alpha, cfg.degree) if fedsgd else GridCell(algo.value, cfg.eta)
+            fits += _train_step(datasets, [(cell, graph if fedsgd else None)], settings)
+            _check_finite(algo.value, fits[-1][2], datasets)
     elif mode == "grid":
-        result = run_grid_search(
-            datasets, cfg.grid, batch_size=cfg.batch_size, max_iterations=cfg.max_iterations,
-            seed=cfg.seed, trace_every=cfg.trace_every,
-        )
+        result = run_grid_search(datasets, cfg.grid, **settings)
         artifacts["grid.csv"] = _render_grid_csv(result.cells)
         manifest["selected"] = {name: asdict(cell) for name, cell in sorted(result.best.items())}
-        for algo in cfg.grid.algorithms:
-            best = result.best[algo.value]
-            W, trace, _ = result.trained[algo.value]
-            fits.append((algo, _hyperparameters(algo, best.eta, best.alpha, best.degree), W, trace))
+        fits = [(result.best[algo.value], *result.trained[algo.value]) for algo in cfg.grid.algorithms]
         graph = result.trained.get(Algorithm.FEDSGD.value, (None,) * 3)[2]
     if graph is not None:
         manifest["graph"] = graph_summary(graph)
@@ -707,11 +703,11 @@ def run_experiment(
     report: MetricsReport | None = None
     if mode != "graph":
         report = MetricsReport(
-            [block for algo, params, W, _ in fits for block in evaluate(W, datasets, algo.value, params).blocks]
+            [evaluate(W, datasets, cell.algorithm, _hyperparameters(cell)).blocks[0] for cell, W, _, _ in fits]
         )
         artifacts["metrics.txt"] = report.to_text()
-        artifacts["metrics.json"] = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        traces = {algo.value: trace for algo, _, _, trace in fits}
+        artifacts["metrics.json"] = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        traces = {cell.algorithm: trace for cell, _, trace, _ in fits}
         artifacts["trace.csv"] = _render_trace_csv(traces, [ds.node_id for ds in datasets])
 
     out = Path(out_dir)

@@ -106,8 +106,8 @@ def proximal_step(X, y, w_anchor, eta: float) -> np.ndarray:
 
         ((2/m) X^T X + (2/eta) I) v = (2/m) X^T y + (2/eta) w_anchor,
 
-    which is positive definite for every finite eta > 0. Small eta pins v to the
-    anchor; large eta approaches the unconstrained least-squares fit.
+    which is positive definite for every finite eta > 0; rounding can make it singular (DegenerateInputError).
+    Small eta pins v to the anchor; large eta approaches the unconstrained least-squares fit.
     """
     X, y = _as_xy(X, y)
     w_anchor = _as_weights(X, w_anchor)
@@ -146,7 +146,11 @@ def _proximal_system(xtx, xty, m, eta):
     pull = (2.0 / eta)[..., None, None] * np.eye(xtx.shape[-1])
     lhs = scale[..., None] * xtx + pull
     offset = np.broadcast_to((scale * xty)[..., None], lhs.shape[:-1] + (1,))
-    solved = np.linalg.solve(lhs, np.concatenate([offset, np.broadcast_to(pull, lhs.shape)], axis=-1))
+    try:
+        solved = np.linalg.solve(lhs, np.concatenate([offset, np.broadcast_to(pull, lhs.shape)], axis=-1))
+    except np.linalg.LinAlgError as exc:  # a pull 2/eta below the rounding level of a rank-deficient X^T X
+        etas = ", ".join(f"{e:g}" for e in np.unique(eta))
+        raise DegenerateInputError(f"proximal system is singular at eta = {etas}") from exc
     return solved[..., 0], solved[..., 1:]
 
 

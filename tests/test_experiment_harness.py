@@ -89,14 +89,14 @@ def src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
-def diverging_config(tmp_path):
-    """A run config whose fedsgd and fedavg1 iterates overflow at eta = 5."""
+def diverging_config(tmp_path, body="[optimizer]\neta = 5.0\n"):
+    """A config on a spec whose fedsgd and fedavg1 iterates overflow at eta = 5; by default a run at eta = 5."""
     spec = {
         "node_count": 5, "rows_per_node": [200] * 5, "feature_dim": 3, "cluster_assignment": [0, 0, 1, 1, 1],
         "cluster_weights": [[20.0, -10.0, 5.0], [-2.0, 1.0, -0.5]], "noise_std": 0.1, "seed": 3,
     }
     (tmp_path / "spec.json").write_text(json.dumps(spec))
-    return write_config(tmp_path, "[data]\nsynthetic = spec.json\n\n[optimizer]\neta = 5.0\n")
+    return write_config(tmp_path, "[data]\nsynthetic = spec.json\n\n" + body)
 
 
 def write_config(tmp_path, body):
@@ -312,7 +312,9 @@ def assert_cells_match_solo(datasets, cells, best, runs):
     """Every stacked cell is bitwise its solo train(); cells and winners are what solo runs give."""
     solo_val = {}
     for graph, config, W, trace in runs:
-        W_solo, solo = train(datasets, graph, config)
+        with np.errstate(over="ignore", invalid="ignore"):  # the solo reference of a diverging cell
+            W_solo, solo = train(datasets, graph, config)
+            solo_val_mse = evaluate(W_solo, datasets).blocks[0].mean_val
         assert np.array_equal(W, W_solo, equal_nan=True)
         assert trace.rounds == solo.rounds
         assert np.array_equal(trace.objective, solo.objective, equal_nan=True)
@@ -326,7 +328,7 @@ def assert_cells_match_solo(datasets, cells, best, runs):
             config.alpha if fedsgd else None,
             graph.min_degree if fedsgd else None,
         )
-        solo_val[key] = evaluate(W_solo, datasets).blocks[0].mean_val
+        solo_val[key] = solo_val_mse
     expected = [
         replace(c, val_mse=solo_val[c.algorithm, c.eta, c.alpha, c.degree]) if c.connected else c
         for c in cells
@@ -745,12 +747,71 @@ class TestRunExperiment:
         metrics = (out / "metrics.json").read_text()
         assert "NaN" not in metrics and "Infinity" not in metrics
 
+    def test_run_matches_one_point_grid(self, tmp_path):
+        # run is the one-cell case of the grid's per-algorithm step
+        write_spec(tmp_path)
+        cfg = write_config(
+            tmp_path,
+            """\
+            [data]
+            synthetic = spec.json
+
+            [graph]
+            degree = 2
+
+            [optimizer]
+            eta = 0.05
+            alpha = 0.1
+            max_iterations = 40
+
+            [grid]
+            etas = 0.05
+            alphas = 0.1
+            degrees = 2
+            """,
+        )
+        run_experiment(cfg, tmp_path / "run", mode="run")
+        run_experiment(cfg, tmp_path / "grid", mode="grid")
+        for name in ("metrics.json", "metrics.txt", "trace.csv", "graph.edges"):
+            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "grid" / name).read_bytes(), name
+
+    def test_run_trains_fedsgd_on_disconnected_graph(self, tmp_path):
+        # the one difference from a grid cell: d = 1 splits the two clusters of two, and run still trains fedsgd
+        write_spec(tmp_path)
+        body = "[data]\nsynthetic = spec.json\n\n[graph]\ndegree = 1\n\n[optimizer]\neta = 0.05\nmax_iterations = 40\n"
+        result = run_experiment(write_config(tmp_path, body), tmp_path / "out", mode="run")
+        assert result["manifest"]["graph"]["connected"] is False
+        assert [b.algorithm for b in result["report"].blocks] == ["fedsgd", "fedavg1", "fedavg2"]
+        grid = GridSpec(alphas=(0.1,), etas=(0.05,), degrees=(1, 2), algorithms=("fedsgd",))
+        cells = run_grid_search(cluster_datasets(), grid, max_iterations=40).cells
+        assert cells[0] == GridCell("fedsgd", 0.05, 0.1, 1, connected=False, val_mse=None)
+        assert cells[1].connected and math.isfinite(cells[1].val_mse)
+
+    def test_metrics_json_is_strict(self, tmp_path):
+        # 3 rows per node split 2/0/1, so every val score is NaN: null in metrics.json, nan in metrics.txt
+        spec = {
+            "node_count": 3, "rows_per_node": [3, 3, 3], "feature_dim": 2, "cluster_assignment": [0, 0, 1],
+            "cluster_weights": [[1.0, -1.0], [-1.0, 1.0]], "noise_std": 0.1, "seed": 3,
+        }
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        run_experiment(write_config(tmp_path, "[data]\nsynthetic = spec.json\n"), out, mode="run")
+
+        def reject(token):
+            raise AssertionError(f"metrics.json holds the non-standard JSON token {token}")
+
+        blocks = json.loads((out / "metrics.json").read_text(), parse_constant=reject)["algorithms"]
+        assert [b["algorithm"] for b in blocks] == ["fedsgd", "fedavg1", "fedavg2"]
+        for b in blocks:
+            assert b["val_mse"] == [None] * 3 and b["mean"]["val"] is None
+            assert all(math.isfinite(v) for v in b["train_mse"] + b["test_mse"] + [b["mean"]["test"]])
+        assert (out / "metrics.txt").read_text().count(" nan ") == 3 * 4
+
     def test_no_source_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "[optimizer]\neta = 0.1\n")
         with pytest.raises(ConfigError):
             run_experiment(cfg, tmp_path / "out", mode="run")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_cell_stays_isolated(self, tmp_path, monkeypatch):
         write_spec(tmp_path)
         cfg = write_config(
@@ -1151,6 +1212,31 @@ class TestCli:
         )
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr == "training error: fedsgd diverged: round 150: node 1: non-finite training loss\n"
+        assert not out.exists()
+
+    def test_diverging_grid_writes_nothing_to_stderr(self, tmp_path):
+        # a fresh interpreter, so that a numpy RuntimeWarning would show on stderr
+        cfg = diverging_config(tmp_path, "[grid]\netas = 5.0, 0.01\nalphas = 0.1\ndegrees = 2\n")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedgtv.cli", "grid", "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        rows = (out / "grid.csv").read_text().strip().split("\n")[1:]
+        scores = {tuple(row.split(",")[:4]): row.rsplit(",", 1)[1] for row in rows}
+        assert scores.pop(("fedsgd", "0.1", "5", "2")) == scores.pop(("fedavg1", "", "5", "")) == "nan"
+        assert len(scores) == 4 and all(math.isfinite(float(v)) for v in scores.values())
+
+    def test_singular_proximal_system_exits_4(self, tmp_path):
+        cfg = write_config(tmp_path, f"[data]\ncsv = {FIXTURE}\n\n[optimizer]\nalgorithm = fedavg2\neta = 1e300\n")
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 4, result.output
+        assert "training error: round 0: proximal system is singular at eta = 1e+300" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
         assert not out.exists()
 
     def test_seed_override_changes_splits(self, tmp_path):

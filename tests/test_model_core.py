@@ -251,6 +251,13 @@ class TestProximalStep:
         with pytest.raises(ParameterError, match="eta must be positive and finite, got inf"):
             proximal_step_gram([[5.0, 5.0], [5.0, 5.0]], [5.0, 5.0], 2, [0.0, 0.0], float("inf"))
 
+    def test_numerically_singular_system_is_a_typed_error(self):
+        # a finite eta whose pull 2/eta is below the rounding level of a rank-deficient X^T X
+        with pytest.raises(DegenerateInputError, match=r"^proximal system is singular at eta = 1e\+17$") as excinfo:
+            proximal_step([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], [0.0, 0.0], 1e17)
+        assert excinfo.value.exit_code == 4
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
     def test_gram_variant_is_bitwise_identical(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((12, 4))
