@@ -290,37 +290,46 @@ def normalize(dataset: LocalDataset) -> LocalDataset:
     the training statistics; labels and non-numeric columns pass through.
     A column whose training std is zero or whose mean or std is not finite
     (values near 1e300 overflow the std) raises ConstantFeatureError naming
-    the feature and the node. Returns a new dataset; the input is untouched.
+    the feature and the node. So does a rescaled split whose labels' or any
+    feature column's sum of squares is not finite (a label near 1e300, or a
+    val or test value far outside the training range, would overflow every
+    loss on that split), naming the split too. Returns a new dataset; the
+    input is untouched.
     """
     X_train, _ = dataset.train
     if X_train.shape[0] == 0:
         raise DegenerateInputError("cannot normalize an empty training split")
     cols = np.asarray(dataset.numeric_columns, dtype=int)
+
+    def feature(col):
+        return dataset.feature_names[col] if dataset.feature_names else f"column {col}"
+
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic is rejected below
         means = X_train[:, cols].mean(axis=0)
         stds = X_train[:, cols].std(axis=0)
     for col, mean, std in zip(cols, means, stds):
         if std == 0.0 or not np.isfinite([mean, std]).all():
-            name = dataset.feature_names[col] if dataset.feature_names else f"column {col}"
             fault = "is constant" if std == 0.0 else "has a non-finite mean or std"
             raise ConstantFeatureError(
-                f"feature {name!r} {fault} on the training split of node {dataset.node_id}"
+                f"feature {feature(col)!r} {fault} on the training split of node {dataset.node_id}"
             )
 
-    def rescale(split):
-        X, y = split
+    splits = {}
+    for name in ("train", "val", "test"):
+        X, y = dataset.split(name)
         X = X.copy()
-        if X.shape[0]:
-            X[:, cols] = (X[:, cols] - means) / stds
-        return X, y
-
-    return replace(
-        dataset,
-        train=rescale(dataset.train),
-        val=rescale(dataset.val),
-        test=rescale(dataset.test),
-        feature_stats=(means, stds),
-    )
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum of squares is rejected below
+            if X.shape[0]:
+                X[:, cols] = (X[:, cols] - means) / stds
+            label_sq, column_sq = y @ y, np.einsum("ij,ij->j", X, X)
+        where = f"on the {name} split of node {dataset.node_id}"
+        if not np.isfinite(label_sq):
+            raise ConstantFeatureError(f"labels have a non-finite sum of squares {where}")
+        overflowed = np.flatnonzero(~np.isfinite(column_sq))
+        if overflowed.size:
+            raise ConstantFeatureError(f"feature {feature(overflowed[0])!r} has a non-finite sum of squares {where}")
+        splits[name] = X, y
+    return replace(dataset, **splits, feature_stats=(means, stds))
 
 
 def _split_node(node_id: int, X: np.ndarray, y: np.ndarray, seed: int, **fields) -> LocalDataset:

@@ -37,7 +37,8 @@ class SplitError(FedGTVError):
 
 
 class ConstantFeatureError(FedGTVError):
-    """A feature column is constant (zero std) or has a non-finite mean or std on the training split."""
+    """A feature column is constant (zero std) or has a non-finite mean or std on the training split,
+    or a split's labels or a feature column have a non-finite sum of squares."""
     exit_code = 3
 
 

@@ -37,6 +37,12 @@ kernels that :func:`~fedgtv.model_core.mse_gradient`,
 :func:`~fedgtv.model_core.proximal_step_gram` call after their checks. A
 public round builds the same context for one cell and takes one step.
 Nothing is cached between calls.
+
+Trace points are scored in batches: :func:`train_cells` buffers the weight
+stacks of ``P = max(1, sum_i m_i // (C * max_i m_i))`` trace points (m_i the
+training rows of node i, C the cells) and scores each batch with one stacked
+residual per node over its P * C weight rows, bitwise what scoring each point
+alone gives, in a residual no larger than all training labels together.
 """
 from __future__ import annotations
 
@@ -312,10 +318,15 @@ def train_cells(
 
     The cells must differ only in eta and alpha. The per-run context and the
     edge lists of the trace's penalty are built once, before the first
-    round, so each round only steps the weights, and each trace point scores
-    the context's checked training parts, every cell at a node with one
-    stacked residual. An input check that fails while the context is built
-    is re-raised as round 0's, e.g. ``round 0: node 1: empty training split``.
+    round, so each round only steps the weights. Trace points are copied
+    into a preallocated buffer and scored in batches of
+    ``P = max(1, sum_i m_i // (C * max_i m_i))`` points (m_i the training
+    rows of node i), when the buffer is full and at the final round, with
+    one stacked residual per node over the batch's P * C weight rows. So no
+    residual holds more values than all training labels together, and each
+    value is bitwise that of scoring the point alone. An input check that
+    fails while the context is built is re-raised as round 0's, e.g.
+    ``round 0: node 1: empty training split``.
     """
     if len(datasets) == 0:
         raise DegenerateInputError("no datasets to train on")
@@ -336,16 +347,32 @@ def train_cells(
     except FedGTVError as exc:
         raise type(exc)(f"round 0: {exc}") from exc
     traces = [TrainingTrace() for _ in configs]
+    rows = [len(y) for _, y in run.train]
+    points = np.empty((max(1, sum(rows) // (len(configs) * max(rows))),) + W.shape)
+    rounds = []
     for k in range(config.max_iterations):
         W = run.step(W, k)
         if (k + 1) % config.trace_every == 0 or k + 1 == config.max_iterations:
-            losses = _losses(run.train, W)
-            for c, trace in enumerate(traces):
-                value = _gtv(losses[c], W[c], edges[c], configs[c].alpha) if edges else float(losses[c].mean())
-                trace.rounds.append(k + 1)
-                trace.objective.append(value)
-                trace.node_losses.append(losses[c])
+            points[len(rounds)] = W
+            rounds.append(k + 1)
+            if len(rounds) == len(points) or k + 1 == config.max_iterations:
+                _log_points(traces, rounds, points[: len(rounds)], run.train, edges, configs)
+                rounds.clear()
     return W, traces
+
+
+def _log_points(traces, rounds, points, parts, edges, configs) -> None:
+    """Score the (P, C, n, d) weight stacks ``points`` of trace rounds ``rounds`` and append them to ``traces``.
+
+    One :func:`_losses` call over all P * C stacks: one stacked residual per node.
+    """
+    losses = _losses(parts, points.reshape((-1,) + points.shape[2:])).reshape(points.shape[:3])
+    for r, W, point_losses in zip(rounds, points, losses):
+        for c, trace in enumerate(traces):
+            value = _gtv(point_losses[c], W[c], edges[c], configs[c].alpha) if edges else float(point_losses[c].mean())
+            trace.rounds.append(r)
+            trace.objective.append(value)
+            trace.node_losses.append(point_losses[c])
 
 
 def train(

@@ -45,11 +45,13 @@ def _mse_rows(X, y, W) -> list[float]:
     """:func:`mse_loss` of each row of a (C, d) weight stack, unchecked.
 
     One stacked residual ``y - X w`` (a matrix-vector product per row; a
-    matrix product would sum in another order), then one dot per row, so
-    each value is bitwise the one-row call's, also for a non-contiguous
+    matrix product would sum in another order), subtracted into the product's
+    own buffer so the call holds one (C, m) temporary, then one dot per row,
+    so each value is bitwise the one-row call's, also for a non-contiguous
     slice ``W[:, i]`` of a larger stack.
     """
-    R = y - np.matmul(X, W[..., None])[..., 0]
+    R = np.matmul(X, W[..., None])[..., 0]
+    np.subtract(y, R, out=R)
     return [float(r @ r) / X.shape[0] for r in R]
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 from operator import itemgetter
 from pathlib import Path
 
@@ -472,6 +473,28 @@ class TestNormalize:
         with pytest.raises(ConstantFeatureError) as excinfo:
             normalize(make_dataset(train_col))
         assert str(excinfo.value) == "feature 'f0' has a non-finite mean or std on the training split of node 1"
+
+    @pytest.mark.parametrize(
+        "split, column, value, fault",
+        [
+            ("train", None, 1e300, "labels have"),
+            ("val", 0, 1e200, "feature 'f0' has"),
+            ("test", 0, 1.7e308, "feature 'f0' has"),  # the rescaling itself overflows
+            ("test", 1, 1e200, "feature 'f1' has"),  # a column normalize leaves as it is
+        ],
+        ids=["train_label", "val_feature", "test_rescaled", "test_unscaled"],
+    )
+    def test_overflowing_sum_of_squares_rejected(self, split, column, value, fault):
+        # finite values that pass the drop rules but overflow every loss on their split
+        raw = make_dataset([0.0, 0.5, 1.0], val_col=[0.5], test_col=[0.5])
+        X, y = (a.copy() for a in raw.split(split))
+        if column is None:
+            y[0] = value
+        else:
+            X[0, column] = value
+        with pytest.raises(ConstantFeatureError) as excinfo:
+            normalize(replace(raw, **{split: (X, y)}))
+        assert str(excinfo.value) == f"{fault} a non-finite sum of squares on the {split} split of node 1"
 
     def test_feature_stats_recorded(self):
         ds = normalize(make_dataset([1.0, 2.0, 3.0]))

@@ -1188,6 +1188,32 @@ class TestCli:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("lengthofstay", "1e300", "labels have a non-finite sum of squares"),
+            ("glucose", "1e200", "feature 'glucose' has a non-finite sum of squares"),
+        ],
+    )
+    def test_overflowing_split_exits_3(self, tmp_path, column, value, message):
+        # the first data row lands in node 1's test split; its value passes the
+        # drop rules, but its square overflows every loss on that split
+        header, first, *lines = FIXTURE.read_text().splitlines()
+        row = first.split(",")
+        row[header.split(",").index(column)] = value
+        (tmp_path / "rows.csv").write_text("\n".join([header, ",".join(row), *lines]) + "\n")
+        cfg = write_config(tmp_path, "[data]\ncsv = rows.csv\n\n[graph]\ndegree = 1\n\n[grid]\ndegrees = 1\n")
+        for mode in ("run", "grid"):
+            # a fresh interpreter, so that a numpy RuntimeWarning would show on stderr
+            out = tmp_path / mode
+            proc = subprocess.run(
+                [sys.executable, "-m", "fedgtv.cli", mode, "--config", str(cfg), "--out", str(out)],
+                capture_output=True, text=True, env=src_env(), timeout=120,
+            )
+            assert proc.returncode == 3, proc.stderr
+            assert proc.stderr == f"data error: {message} on the test split of node 1\n"
+            assert not out.exists()
+
     def test_oversized_csv_field_exits_3(self, tmp_path):
         header, *lines = FIXTURE.read_text().splitlines()
         row = lines[0].split(",")

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fedgtv.fed_optimizers
 from fedgtv.data_pipeline import LocalDataset, SyntheticSpec, generate_synthetic
 from fedgtv.empirical_graph import EmpiricalGraph
 from fedgtv.errors import DegenerateInputError, ParameterError, ShapeError
@@ -19,7 +20,7 @@ from fedgtv.fed_optimizers import (
     train,
     train_cells,
 )
-from fedgtv.model_core import least_squares_fit, mse_gradient, mse_loss, proximal_step
+from fedgtv.model_core import _mse_rows, least_squares_fit, mse_gradient, mse_loss, proximal_step
 
 
 def make_ds(X, y, node_id=1):
@@ -473,6 +474,81 @@ class TestTrain:
         assert trace.objective[-1] == gtv_objective(W, datasets, graph, 0.2)
         losses = [mse_loss(*ds.train, W[i]) for i, ds in enumerate(datasets)]
         assert np.array_equal(trace.node_losses[-1], losses)
+
+    @pytest.mark.parametrize("algorithm", ["fedsgd", "fedavg1", "fedavg2"])
+    def test_every_trace_point_recomputable_across_batches(self, algorithm):
+        # trace points are scored P at a time; with 1 < P < 7 and 7 points the
+        # batches end at points P, 2P, ... and at the final round, so points on
+        # both sides of a batch boundary and a short last batch are all checked
+        # against the public round functions stepped from zero
+        spec = SyntheticSpec(
+            node_count=6,
+            rows_per_node=(30, 34, 38, 42, 46, 50),
+            feature_dim=3,
+            cluster_assignment=(0, 0, 0, 1, 1, 1),
+            cluster_weights=((1.5, 0.0, -0.5), (-1.0, 2.0, 0.5)),
+            noise_std=0.2,
+            seed=4,
+        )
+        datasets = generate_synthetic(spec)
+        rows = [ds.train[0].shape[0] for ds in datasets]
+        cells = ((0.02, 0.1), (0.05, 0.3))
+        P = sum(rows) // (len(cells) * max(rows))
+        assert 1 < P < 7
+        path = [(i, i + 1) for i in range(5)]
+        graphs = [graph_from_edges(6, path + [(5, 0)]), graph_from_edges(6, path)]
+        configs = [
+            OptimizerConfig(algorithm, eta, alpha, batch_size=25, max_iterations=20, trace_every=3, seed=7)
+            for eta, alpha in cells
+        ]
+        step = {
+            "fedsgd": lambda W, cfg, graph, k: fedsgd_round(W, datasets, graph, cfg, round_index=k),
+            "fedavg1": lambda W, cfg, graph, k: fedavg_v1_round(W, datasets, cfg),
+            "fedavg2": lambda W, cfg, graph, k: fedavg_v2_round(W, datasets, cfg),
+        }[algorithm]
+        _, traces = train_cells(datasets, graphs, configs)
+        for graph, config, trace in zip(graphs, configs, traces):
+            assert trace.rounds == [3, 6, 9, 12, 15, 18, 20]
+            alone, point = np.zeros((6, 3)), 0
+            for k in range(20):
+                alone = step(alone, config, graph, k)
+                if k + 1 not in trace.rounds:
+                    continue
+                losses = [mse_loss(*ds.train, alone[i]) for i, ds in enumerate(datasets)]
+                objective = (
+                    gtv_objective(alone, datasets, graph, config.alpha) if algorithm == "fedsgd" else float(np.mean(losses))
+                )
+                assert np.array_equal(trace.node_losses[point], losses), (k + 1, config)
+                assert trace.objective[point] == objective, (k + 1, config)
+                point += 1
+            assert point == 7
+
+    def test_trace_points_scored_in_batches(self, monkeypatch):
+        # a count, not a timing: each node's residual covers a batch of
+        # P = sum_i m_i // max_i m_i trace points (one cell), so 40 traced
+        # rounds make at most n * ceil(40 / P) calls, not one per node and point
+        calls = []
+
+        def counting(X, y, W):
+            calls.append(len(W))
+            return _mse_rows(X, y, W)
+
+        monkeypatch.setattr(fedgtv.fed_optimizers, "_mse_rows", counting)
+        spec = SyntheticSpec(
+            node_count=12,
+            rows_per_node=tuple(30 + 30 * i // 11 for i in range(12)),
+            feature_dim=3,
+            cluster_assignment=(0,) * 12,
+            cluster_weights=((1.5, 0.0, -0.5),),
+            noise_std=0.2,
+        )
+        datasets = generate_synthetic(spec)
+        rows = [ds.train[0].shape[0] for ds in datasets]
+        P = sum(rows) // max(rows)
+        _, trace = train(datasets, None, OptimizerConfig("fedavg1", eta=0.05, max_iterations=40, trace_every=1))
+        assert len(trace.rounds) == 40 and P > 1
+        assert 0 < len(calls) <= 12 * math.ceil(40 / P) < 12 * 40
+        assert sum(calls) == 12 * 40
 
     def test_full_batch_tracks_row_form_on_public_layout(self, public_design):
         # the null direction of the rank-18 layout (rcount slots minus intercept)
