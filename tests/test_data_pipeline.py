@@ -176,6 +176,68 @@ MUTATIONS = [
 ]
 
 
+# The mutations without a NUL: a file built from them alone can take load_csv's comma-split path.
+PLAIN_MUTATIONS = [m for m in MUTATIONS if "\x00" not in "".join(m.values())]
+
+
+def random_fields(rng, facids=("A", "B", "C")):
+    """Field texts of one valid row with random values, by column name (see make_row)."""
+    return dict(
+        rcount=rng.choice(["0", "1", "2", "3", "4", "5+"]),
+        gender=rng.choice(["M", "F"]),
+        hemo=str(rng.integers(2)),
+        lengthofstay=str(rng.integers(1, 12)),
+        facid=rng.choice(facids),
+        **{name: repr(float(rng.normal(10.0, 3.0))) for name in NUMERIC_FIELDS},
+        **{name: str(rng.integers(2)) for name in data_pipeline.DEFAULT_CONDITION_COLUMNS},
+    )
+
+
+def plain_lines(count, rng):
+    """``count`` data lines under HEADER, one in twenty with a plain mutation; no quote, no NUL."""
+    lines = []
+    for _ in range(count):
+        fields = random_fields(rng)
+        if rng.random() < 0.05:
+            fields.update(PLAIN_MUTATIONS[rng.integers(len(PLAIN_MUTATIONS))])
+        lines.append(",".join(make_row(**fields)))
+    return lines
+
+
+def write_csv(tmp_path, lines, newline="\n", final_newline=True, header=HEADER):
+    """A CSV file of ``header`` and ``lines``, joined by ``newline``."""
+    path = tmp_path / "rows.csv"
+    text = newline.join([",".join(header), *lines]) + (newline if final_newline else "")
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def assert_matches_row_oracle(path):
+    """load_csv(path) equals reference_load_csv(path) bitwise; returns load_csv's result."""
+    groups, dropped = load_csv(path)
+    expected, expected_dropped = reference_load_csv(path)
+    assert list(groups) == list(expected)
+    for facid, block in groups.items():
+        assert block.shape == expected[facid].shape
+        assert block.tobytes() == expected[facid].tobytes(), facid
+    assert type(dropped) is int and dropped == expected_dropped
+    return groups, dropped
+
+
+@pytest.fixture
+def reader_chunks(monkeypatch):
+    """The row count of each chunk load_csv hands to csv.reader; it splits the others on commas."""
+    counts = []
+    add_rows = data_pipeline._add_rows
+
+    def counting(blocks, rows, picks):
+        counts.append(len(rows))
+        return add_rows(blocks, rows, picks)
+
+    monkeypatch.setattr(data_pipeline, "_add_rows", counting)
+    return counts
+
+
 def chunked_csv_lines(chunk, rng):
     """Data lines of a CSV four and a third chunks long, with odd rows at every chunk boundary.
 
@@ -184,15 +246,7 @@ def chunked_csv_lines(chunk, rng):
     """
     lines = []
     for i in range(4 * chunk + chunk // 3):
-        fields = dict(
-            rcount=rng.choice(["0", "1", "2", "3", "4", "5+"]),
-            gender=rng.choice(["M", "F"]),
-            hemo=str(rng.integers(2)),
-            lengthofstay=str(rng.integers(1, 12)),
-            facid=rng.choice(["A", "B", "C", "late"] if i > chunk + 3 else ["A", "B", "C"]),
-            **{name: repr(float(rng.normal(10.0, 3.0))) for name in NUMERIC_FIELDS},
-            **{name: str(rng.integers(2)) for name in data_pipeline.DEFAULT_CONDITION_COLUMNS},
-        )
+        fields = random_fields(rng, ["A", "B", "C", "late"] if i > chunk + 3 else ["A", "B", "C"])
         at_boundary = i % chunk in (0, 1, chunk - 2, chunk - 1)
         if 2 * chunk <= i < 3 * chunk:
             lines.append(["", "   ", "1,2"][i % 3])
@@ -207,6 +261,22 @@ def chunked_csv_lines(chunk, rng):
             fields.update(MUTATIONS[rng.integers(len(MUTATIONS))])
         lines.append(",".join(make_row(**fields)))
     return lines
+
+
+def check_drop_rule(tmp_path, extra, row, outcome):
+    """load_csv of the case ``row`` followed by a valid control row, against the rule's ``outcome``."""
+    control = make_row(facid="Z") + list(extra.values())
+    groups, dropped = load_rows(tmp_path, row, control, header=HEADER + list(extra))
+    assert groups["Z"].shape == (1, 14)
+    if outcome in (DROPPED, SKIPPED):
+        assert list(groups) == ["Z"]
+        assert dropped == (outcome == DROPPED)
+        return
+    assert list(groups) == ["X", "Z"] and dropped == 0
+    kept = groups["X"]
+    assert kept.shape == (1, 14)
+    for column, value in outcome.items():
+        assert same_float(kept[0, column], value), (column, kept[0, column], value)
 
 
 class TestLoadCsv:
@@ -237,11 +307,25 @@ class TestLoadCsv:
 
     def test_oversized_field_names_file_and_line(self, tmp_path):
         header, *lines = FIXTURE.read_text().splitlines()
+        # the long line sits inside the second chunk, among lines of its own width
+        lines *= data_pipeline._CHUNK_ROWS // len(lines) + 2
+        assert data_pipeline._CHUNK_ROWS < len(lines) < 2 * data_pipeline._CHUNK_ROWS - 3
         row = lines[0].split(",")
         row[header.split(",").index("glucose")] = "1" * 200_000  # over csv's default field limit
         p = tmp_path / "huge.csv"
-        p.write_text("\n".join([header, *lines, ",".join(row)]) + "\n")
+        p.write_text("\n".join([header, *lines, ",".join(row), *lines[:3]]) + "\n")
         with pytest.raises(SchemaError, match=rf"huge\.csv, line {len(lines) + 2}: field larger than field limit"):
+            load_csv(p)
+
+    def test_non_utf8_file_names_file_and_line(self, tmp_path):
+        header, *lines = FIXTURE.read_text().splitlines()
+        lines *= 100  # the bad byte lies far past the decoder's first buffer
+        row = lines[700].split(",")
+        row[header.split(",").index("facid")] = "caf\xe9"
+        lines[700] = ",".join(row)
+        p = tmp_path / "latin.csv"
+        p.write_bytes(("\n".join([header, *lines]) + "\n").encode("latin-1"))
+        with pytest.raises(SchemaError, match=r"latin\.csv, line 702: not UTF-8 text: byte 0xe9: invalid continuation byte"):
             load_csv(p)
 
     def test_header_only_file(self, tmp_path):
@@ -289,19 +373,16 @@ class TestLoadCsv:
         "extra, row, outcome", [pytest.param(*case[1:], id=case[0]) for case in DROP_RULES]
     )
     def test_drop_rules(self, tmp_path, extra, row, outcome):
-        control = make_row(facid="Z") + list(extra.values())
-        groups, dropped = load_rows(tmp_path, row, control, header=HEADER + list(extra))
-        assert groups["Z"].shape == (1, 14)
-        if outcome in (DROPPED, SKIPPED):
-            assert list(groups) == ["Z"]
-            assert dropped == (outcome == DROPPED)
-            return
-        assert list(groups) == ["X", "Z"] and dropped == 0
-        kept = groups["X"]
-        assert kept.shape == (1, 14)
-        for column, value in outcome.items():
-            assert same_float(kept[0, column], value), (column, kept[0, column], value)
+        check_drop_rule(tmp_path, extra, row, outcome)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "extra, row, outcome", [pytest.param(*case[1:], id=case[0]) for case in DROP_RULES]
+    )
+    def test_drop_rules_through_csv_reader(self, tmp_path, reader_chunks, extra, row, outcome):
+        # a quoted text in an extra column of the control row sends the chunk through csv.reader
+        check_drop_rule(tmp_path, {**extra, "comment": '"a, b"'}, row, outcome)
+        assert reader_chunks == [2]
 
     def test_multi_chunk_file_matches_row_oracle(self, tmp_path):
         chunk = data_pipeline._CHUNK_ROWS
@@ -317,6 +398,51 @@ class TestLoadCsv:
             assert block.tobytes() == expected[facid].tobytes(), facid
         assert type(dropped) is int and dropped == expected_dropped
         assert dropped > 2 * chunk // 3  # at least the third chunk's short lines
+
+    @pytest.mark.parametrize("odd_lines", [False, True], ids=["uniform_chunks", "short_blank_and_long_lines"])
+    def test_plain_multi_chunk_file_matches_row_oracle(self, tmp_path, reader_chunks, odd_lines):
+        chunk = data_pipeline._CHUNK_ROWS
+        lines = plain_lines(3 * chunk + 7, np.random.default_rng(11))
+        if odd_lines:  # in the second and the third chunk; the last holds only short lines, all of one width
+            short = ",".join(make_row()[:-2])  # too short to reach facid
+            lines[chunk + 1], lines[chunk + 5] = "", short
+            lines[2 * chunk] += ",extra,columns"
+            lines[3 * chunk - 1] = "   "
+            lines[-7:] = [short] * 7
+        groups, dropped = assert_matches_row_oracle(write_csv(tmp_path, lines))
+        assert reader_chunks == ([chunk, chunk, 7] if odd_lines else [])
+        assert sum(map(len, groups.values())) + dropped + odd_lines == len(lines)  # the blank line is skipped
+
+    @pytest.mark.parametrize("before_end", [9, 0], ids=["inside_the_chunk", "across_the_chunk_end"])
+    def test_quoted_field_in_a_middle_chunk_matches_row_oracle(self, tmp_path, reader_chunks, before_end):
+        chunk = data_pipeline._CHUNK_ROWS
+        lines = plain_lines(3 * chunk + 7, np.random.default_rng(12))
+        i = 2 * chunk - 1 - before_end  # a line of the second chunk
+        row = lines[i].split(",")
+        row[HEADER.index("vdate")] = '"1/1,\n2012"'  # holds a comma and a newline
+        lines[i] = ",".join(row)
+        groups, dropped = assert_matches_row_oracle(write_csv(tmp_path, lines))
+        assert sum(map(len, groups.values())) + dropped == len(lines)
+        assert sum(reader_chunks) == 2 * chunk + 7  # the first chunk was split on commas
+
+    @pytest.mark.parametrize("final_newline", [True, False], ids=["final_newline", "no_final_newline"])
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
+    def test_line_endings_match_row_oracle(self, tmp_path, reader_chunks, newline, final_newline):
+        lines = plain_lines(2 * data_pipeline._CHUNK_ROWS + 5, np.random.default_rng(13))
+        # facid moves to the front, so that the first and the last column are both read
+        lines = [line[line.rindex(",") + 1 :] + "," + line[: line.rindex(",")] for line in lines]
+        path = write_csv(tmp_path, lines, newline, final_newline, header=HEADER[-1:] + HEADER[:-1])
+        groups, dropped = assert_matches_row_oracle(path)
+        assert sum(map(len, groups.values())) + dropped == len(lines)
+        assert reader_chunks == []
+
+    def test_empty_flag_text_beside_two_digits_is_dropped(self, tmp_path, reader_chunks):
+        # "" and "10" join to two characters for two texts, as two one-character flags would
+        rows = [make_row(asthma=""), make_row(asthma="10"), make_row(facid="Z")]
+        path = write_csv(tmp_path, [",".join(row) for row in rows])
+        groups, dropped = assert_matches_row_oracle(path)
+        assert list(groups) == ["Z"] and dropped == 2
+        assert reader_chunks == []
 
 
 class TestCsvSchema:
@@ -574,6 +700,18 @@ class TestGenerateSynthetic:
                 SyntheticSpec(2, (5, 5), 3, (0, 0), ((1.0, 1.0, 1.0),), noise_std=bad)
             with pytest.raises(ParameterError, match="every cluster weight must be finite"):
                 SyntheticSpec(2, (5, 5), 3, (0, 1), ((1.0, 1.0, 1.0), (1.0, bad, 1.0)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "weights, noise",
+        [((1e200, 1.0, 0.5), 0.0), ((1e308, 1e308, 1e308), 0.1)],
+        ids=["square_overflows", "label_overflows"],
+    )
+    def test_overflowing_split_rejected(self, weights, noise):
+        spec = SyntheticSpec(4, (40,) * 4, 3, (0, 0, 1, 1), (weights, (-2.0, 1.0, -0.5)), noise_std=noise)
+        message = "^labels have a non-finite sum of squares on the train split of node 1$"
+        with pytest.raises(ConstantFeatureError, match=message):
+            generate_synthetic(spec)
 
 
 class TestLoadPreprocessed:

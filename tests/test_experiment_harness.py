@@ -1214,6 +1214,33 @@ class TestCli:
             assert proc.stderr == f"data error: {message} on the test split of node 1\n"
             assert not out.exists()
 
+    def test_overflowing_synthetic_split_exits_3(self, tmp_path):
+        spec = {**SPEC_JSON, "rows_per_node": [40] * 4, "cluster_weights": [[1e200, 1.0, 0.5], [-2.0, 1.0, -0.5]]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        cfg = write_config(tmp_path, "[data]\nsynthetic = spec.json\n\n[graph]\ndegree = 2\n")
+        for mode in ("run", "grid", "graph"):
+            # a fresh interpreter, so that a numpy RuntimeWarning would show on stderr
+            out = tmp_path / mode
+            proc = subprocess.run(
+                [sys.executable, "-m", "fedgtv.cli", mode, "--config", str(cfg), "--out", str(out)],
+                capture_output=True, text=True, env=src_env(), timeout=120,
+            )
+            assert proc.returncode == 3, proc.stderr
+            assert proc.stderr == "data error: labels have a non-finite sum of squares on the train split of node 1\n"
+            assert not out.exists()
+
+    def test_non_utf8_csv_exits_3_naming_the_file(self, tmp_path):
+        header, *lines = FIXTURE.read_text().splitlines()
+        row = lines[3].split(",")
+        row[header.split(",").index("facid")] = "caf\xe9"
+        (tmp_path / "rows.csv").write_bytes(("\n".join([header, *lines[:3], ",".join(row), *lines[4:]]) + "\n").encode("latin-1"))
+        cfg = write_config(tmp_path, "[data]\ncsv = rows.csv\n")
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 3, result.output
+        assert result.stderr == f"data error: {tmp_path / 'rows.csv'}, line 5: not UTF-8 text: byte 0xe9: invalid continuation byte\n"
+        assert not out.exists()
+
     def test_oversized_csv_field_exits_3(self, tmp_path):
         header, *lines = FIXTURE.read_text().splitlines()
         row = lines[0].split(",")
