@@ -30,6 +30,7 @@ from .data_pipeline import (
     LocalDataset,
     LOGICAL_FIELDS,
     SyntheticSpec,
+    _not_utf8,
     dump_preprocessed,
     generate_synthetic,
     load_preprocessed,
@@ -454,9 +455,13 @@ def load_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, ConfigError) from exc
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -509,8 +514,13 @@ def load_synthetic_spec(path) -> SyntheticSpec:
     type); JSON arrays become tuples.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: synthetic spec must be a JSON object")
     spec_fields = fields(SyntheticSpec)

@@ -1,5 +1,10 @@
 import csv
+import importlib.util
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from operator import itemgetter
 from pathlib import Path
@@ -30,6 +35,7 @@ from fedgtv.errors import (
     ConstantFeatureError,
     DegenerateInputError,
     EmptyInputError,
+    FedGTVError,
     ParameterError,
     SchemaError,
     SplitError,
@@ -37,6 +43,7 @@ from fedgtv.errors import (
 from fedgtv.model_core import least_squares_fit
 
 FIXTURE = Path(__file__).parent / "data" / "los_fixture.csv"
+ROOT = Path(__file__).resolve().parent.parent
 HEADER = FIXTURE.read_text().split("\n", 1)[0].split(",")
 
 
@@ -205,10 +212,10 @@ def plain_lines(count, rng):
 
 
 def write_csv(tmp_path, lines, newline="\n", final_newline=True, header=HEADER):
-    """A CSV file of ``header`` and ``lines``, joined by ``newline``."""
+    """A CSV file of ``header`` and ``lines``, joined by ``newline``; an escaped surrogate is written as its byte."""
     path = tmp_path / "rows.csv"
     text = newline.join([",".join(header), *lines]) + (newline if final_newline else "")
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -443,6 +450,184 @@ class TestLoadCsv:
         groups, dropped = assert_matches_row_oracle(path)
         assert list(groups) == ["Z"] and dropped == 2
         assert reader_chunks == []
+
+
+def load_outcome(path):
+    """load_csv's blocks in facility order with the dropped count, or its error's type and message."""
+    try:
+        blocks, dropped = load_csv(path)
+    except FedGTVError as exc:
+        return type(exc), str(exc)
+    return [(facid, block.shape, block.tobytes()) for facid, block in blocks.items()], type(dropped), dropped
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def split_against_serial(monkeypatch):
+    """``check(path, share=0.5)``: load_csv of ``path`` split at ``share`` of its bytes, which must
+    equal one pass bitwise and leave no child process; returns the outcome and whether a helper ran."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(data_pipeline, "_usable_cpus", lambda: 2)  # the split runs on a one-CPU host too
+
+    def check(path, share=0.5):
+        forks.clear()
+        monkeypatch.setattr(data_pipeline, "_SPLIT_SHARE", share)
+        monkeypatch.setattr(data_pipeline, "_SPLIT_BYTES", 0)
+        split = load_outcome(path)
+        assert_no_child_left()
+        helpers = len(forks)
+        monkeypatch.setattr(data_pipeline, "_SPLIT_BYTES", math.inf)
+        assert load_outcome(path) == split
+        assert len(forks) == helpers <= 1  # one pass forks nothing
+        return split, helpers == 1
+
+    return check
+
+
+@pytest.fixture(scope="module")
+def los_csvs(tmp_path_factory):
+    """The benchmark's los_grid CSV (100k rows) at seeds 1 and 7, by seed."""
+    spec = importlib.util.spec_from_file_location("los_inputs", ROOT / "perfbench" / "inputs.py")
+    los_inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = los_inputs  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(los_inputs)
+        out = tmp_path_factory.mktemp("los")
+        return {seed: los_inputs.write_los(seed, out / str(seed)).config.parent / "los.csv" for seed in (1, 7)}
+    finally:
+        del sys.modules[spec.name]
+
+
+def long_line(width=200_000):
+    """A fixture row whose glucose text is longer than csv's default field limit."""
+    header, *lines = FIXTURE.read_text().splitlines()
+    row = lines[0].split(",")
+    row[header.split(",").index("glucose")] = "1" * width
+    return ",".join(row)
+
+
+def latin_line():
+    """A row whose facid holds the byte 0xe9 once written by write_csv, where it is not UTF-8."""
+    return ",".join(make_row(facid="caf\udce9"))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+class TestSplitLoad:
+    """load_csv in two processes against one pass; split_against_serial lets small files split."""
+
+    def test_fixture_splits_like_one_pass(self, split_against_serial):
+        (blocks, _, dropped), helper_ran = split_against_serial(FIXTURE)
+        assert helper_ran and [facid for facid, _, _ in blocks] == ["A", "B"] and dropped == 1
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_los_csv_splits_like_one_pass(self, split_against_serial, los_csvs, seed):
+        (blocks, _, dropped), helper_ran = split_against_serial(los_csvs[seed])
+        assert helper_ran and [facid for facid, _, _ in blocks] == ["A", "B", "C", "D", "E"] and dropped == 33
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 512])
+    def test_fuzz_files_split_like_one_pass(self, tmp_path, monkeypatch, split_against_serial, chunk_rows):
+        monkeypatch.setattr(data_pipeline, "_CHUNK_ROWS", chunk_rows)
+        for seed in range(4):
+            rng = np.random.default_rng([20, seed])
+            lines = chunked_csv_lines(40, rng) if seed % 2 else plain_lines(150, rng)
+            path = write_csv(tmp_path, lines, final_newline=seed < 2)
+            for share in (0.1, 0.3, 0.5, 0.7, 0.95):
+                outcome, helper_ran = split_against_serial(path, share)
+                assert helper_ran and len(outcome) == 3, (seed, share)
+
+    @pytest.mark.parametrize("quarter, helper_runs", [(3, True), (1, False)], ids=["after_the_split", "before_the_split"])
+    def test_quoted_field(self, tmp_path, split_against_serial, quarter, helper_runs):
+        lines = plain_lines(400, np.random.default_rng(14))
+        row = lines[quarter * 100].split(",")
+        row[HEADER.index("vdate")] = '"1/1,\n2012"'  # holds a comma and a newline
+        lines[quarter * 100] = ",".join(row)
+        (blocks, _, dropped), helper_ran = split_against_serial(write_csv(tmp_path, lines))
+        assert helper_ran == helper_runs
+        assert sum(shape[0] for _, shape, _ in blocks) + dropped == len(lines)
+
+    @pytest.mark.parametrize("newline, helper_runs", [("\r\n", True), ("\r", False)], ids=["crlf", "cr"])
+    def test_line_endings(self, tmp_path, split_against_serial, newline, helper_runs):
+        lines = plain_lines(300, np.random.default_rng(15))
+        _, helper_ran = split_against_serial(write_csv(tmp_path, lines, newline))
+        assert helper_ran == helper_runs  # lone \r endings leave no "\n" to split at
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [(long_line, "field larger than field limit"), (latin_line, "not UTF-8 text: byte 0xe9")],
+        ids=["csv_error", "not_utf8"],
+    )
+    def test_error_after_the_split_names_its_line(self, tmp_path, split_against_serial, fault, message):
+        lines = plain_lines(300, np.random.default_rng(16))
+        lines[250] = fault()
+        (error, text), helper_ran = split_against_serial(write_csv(tmp_path, lines))
+        assert helper_ran and error is SchemaError
+        assert text.startswith(f"{tmp_path / 'rows.csv'}, line 252: {message}")
+
+    @pytest.mark.parametrize("first, second", [(long_line, latin_line), (latin_line, long_line)], ids=["csv_error_first", "not_utf8_first"])
+    def test_first_parts_error_wins(self, tmp_path, split_against_serial, first, second):
+        lines = plain_lines(3000, np.random.default_rng(17))
+        lines[3], lines[2900] = first(), second()  # the second lies past the first part's chunk and read-ahead
+        (error, text), helper_ran = split_against_serial(write_csv(tmp_path, lines))
+        assert helper_ran and error is SchemaError
+        assert text.startswith(f"{tmp_path / 'rows.csv'}, line 5: ")
+        assert ("byte 0xe9" in text) == (first is latin_line)
+
+    def test_error_beside_the_split_is_the_one_pass_error(self, tmp_path, split_against_serial):
+        # The split falls right after the long line, so each part holds one fault. One pass reads
+        # the chunk that holds both before it parses it, so it meets the byte first.
+        lines = plain_lines(20, np.random.default_rng(18))
+        lines[10:10] = [long_line(), latin_line()]
+        (error, text), helper_ran = split_against_serial(write_csv(tmp_path, lines))
+        assert helper_ran and error is SchemaError
+        assert text == f"{tmp_path / 'rows.csv'}, line 13: not UTF-8 text: byte 0xe9: invalid continuation byte"
+
+    @pytest.mark.parametrize("fault_at", [None, 3, 250], ids=["returns", "raises_in_first_part", "raises_in_helper_part"])
+    def test_helper_is_reaped(self, tmp_path, monkeypatch, fault_at):
+        monkeypatch.setattr(data_pipeline, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(data_pipeline, "_usable_cpus", lambda: 2)
+        lines = plain_lines(300, np.random.default_rng(19))
+        if fault_at is not None:
+            lines[fault_at] = long_line()
+        path = write_csv(tmp_path, lines)
+        with path.open("rb") as fh:
+            assert data_pipeline._split_point(fh.fileno(), path.stat().st_size)
+        if fault_at is None:
+            load_csv(path)
+        else:
+            with pytest.raises(SchemaError, match=f"line {fault_at + 2}: field larger"):
+                load_csv(path)
+        assert_no_child_left()
+
+    def test_unflushed_stdout_appears_once(self, tmp_path):
+        lines = plain_lines(300, np.random.default_rng(21))
+        path = write_csv(tmp_path, lines)
+        script = textwrap.dedent(f"""
+            import os
+            from fedgtv import data_pipeline
+            data_pipeline._SPLIT_BYTES, data_pipeline._usable_cpus = 0, lambda: 2
+            fork, forks = os.fork, []
+            os.fork = lambda: forks.append(fork()) or forks[-1]
+            print("written before the load")  # stdout is a pipe, so this stays in its buffer
+            blocks, dropped = data_pipeline.load_csv({str(path)!r})
+            print("forks", len(forks), "rows", sum(map(len, blocks.values())) + dropped)
+        """)
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"written before the load\nforks 1 rows {len(lines)}\n"
 
 
 class TestCsvSchema:

@@ -1256,6 +1256,34 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert not out.exists()
 
+    def test_non_utf8_config_exits_2_naming_the_file(self, tmp_path):
+        write_spec(tmp_path)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_bytes("[data]\n# caf\xe9 note\nsynthetic = spec.json\n".encode("latin-1"))
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"config error: {cfg}, line 2: not UTF-8 text: byte 0xe9: invalid continuation byte\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{\n"node_count": "\xe9"}'.encode("latin-1"), ", line 2: not UTF-8 text: byte 0xe9: invalid continuation byte"),
+            (b'{"node_count": 4, "rows":', ": not valid JSON: Expecting value: line 1 column 26 (char 25)"),
+        ],
+        ids=["non_utf8", "truncated"],
+    )
+    def test_unreadable_spec_exits_3_naming_the_file(self, tmp_path, text, message):
+        cfg = synthetic_config(tmp_path)
+        (tmp_path / "spec.json").write_bytes(text)
+        out = tmp_path / "out"
+        for mode in ("run", "grid", "graph"):
+            result = self.run_cli(mode, "--config", str(cfg), "--out", str(out))
+            assert result.exit_code == 3, result.output
+            assert result.stderr == f"data error: {tmp_path / 'spec.json'}{message}\n"
+            assert not out.exists()
+
     def test_diverged_run_exits_4(self, tmp_path):
         # a fresh interpreter, so that a numpy RuntimeWarning would show on stderr
         cfg, out = diverging_config(tmp_path), tmp_path / "out"
