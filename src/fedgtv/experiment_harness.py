@@ -668,6 +668,10 @@ def run_experiment(
     if algorithm is not None:
         cfg.algorithms = _parse("optimizer", "algorithm", algorithm, "--algorithm")
         cfg.grid = replace(cfg.grid, algorithms=cfg.algorithms)
+    out = Path(out_dir)
+    found = next(p for p in (out, *out.parents) if p.exists())  # out itself, or the ancestor mkdir would create it in
+    if not found.is_dir():
+        raise ConfigError(f"--out {out}: {found} is not a directory")
 
     datasets, source = _load_datasets(cfg)
     manifest: dict = {
@@ -720,7 +724,6 @@ def run_experiment(
         traces = {cell.algorithm: trace for cell, _, trace, _ in fits}
         artifacts["trace.csv"] = _render_trace_csv(traces, [ds.node_id for ds in datasets])
 
-    out = Path(out_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     try:

@@ -30,8 +30,8 @@ Each call builds one per-run context before its first round. It runs the
 input checks once (shapes, an empty split naming its node) and holds what
 every round shares: the per-cell eta and alpha, the Laplacians, each node's
 checked training arrays, the stacked ``train_gram`` statistics and fedavg2's
-closed-form steps, each node's proximal system solved once into an affine map
-of its anchor. A round then only steps the weights, through the unchecked
+closed-form steps, affine maps of the anchor from one eigendecomposition per
+node. A round then only steps the weights, through the unchecked
 kernels that :func:`~fedgtv.model_core.mse_gradient`,
 :func:`~fedgtv.model_core.mse_loss` and
 :func:`~fedgtv.model_core.proximal_step_gram` call after their checks. A
@@ -294,7 +294,7 @@ def fedavg_v2_round(weights, datasets: Sequence[LocalDataset], config: Optimizer
     ``local loss + (1/eta) ||v - w_i||^2``, then averaging.
 
     Each node's step is the affine map ``c_i + P_i w_i`` that the per-run
-    context solves once; a round is one stacked matrix-vector product, the
+    context builds once; a round is one stacked matrix-vector product, the
     kernel of :func:`~fedgtv.model_core.proximal_step_gram`, so each node's
     step, before averaging, is bitwise identical to
     :func:`fedgtv.model_core.proximal_step` on that node's training split.

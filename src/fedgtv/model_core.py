@@ -108,13 +108,12 @@ def proximal_step(X, y, w_anchor, eta: float) -> np.ndarray:
 
         ((2/m) X^T X + (2/eta) I) v = (2/m) X^T y + (2/eta) w_anchor,
 
-    which is positive definite for every finite eta > 0; rounding can make it singular (DegenerateInputError).
-    Small eta pins v to the anchor; large eta approaches the unconstrained least-squares fit.
+    solved in the eigenbasis of ``(2/m) X^T X`` (:func:`_proximal_system`), so it
+    is defined at every finite eta > 0 and v moves only in the range of ``X^T``.
+    Small eta pins v to the anchor; large eta approaches the least-squares fit nearest it.
     """
     X, y = _as_xy(X, y)
     w_anchor = _as_weights(X, w_anchor)
-    if X.shape[0] == 0:
-        raise DegenerateInputError("proximal step is undefined on an empty dataset")
     return proximal_step_gram(X.T @ X, X.T @ y, X.shape[0], w_anchor, eta)
 
 
@@ -127,7 +126,7 @@ def proximal_step_gram(xtx, xty, m, w_anchor, eta: float) -> np.ndarray:
             f"expected one system, got xtx {xtx.shape}, xty {xty.shape}, "
             f"anchor {w_anchor.shape}, m {m.shape}, eta {eta.shape}"
         )
-    # at eta = inf the pull vanishes and a rank-deficient X^T X is singular
+    # OptimizerConfig requires a finite eta as well
     if not (np.isfinite(eta) and eta > 0):
         raise ParameterError(f"eta must be positive and finite, got {eta}")
     if m < 1:
@@ -136,24 +135,21 @@ def proximal_step_gram(xtx, xty, m, w_anchor, eta: float) -> np.ndarray:
 
 
 def _proximal_system(xtx, xty, m, eta):
-    """:func:`proximal_step_gram`'s step as an affine map of its anchor, unchecked.
+    """:func:`proximal_step_gram`'s step as an affine map ``c + P w_anchor`` of its anchor, unchecked.
 
-    With ``A = (2/m) X^T X + (2/eta) I`` the step is ``c + P w_anchor``; one
-    solve of ``A`` against ``[(2/m) X^T y | (2/eta) I]`` returns the pair
-    ``(c, P)``. ``xtx`` of shape (..., d, d), ``xty`` of shape (..., d), and
-    ``m`` and ``eta`` arrays whose leading axes broadcast with theirs build
-    every pair at once, each bitwise as alone.
+    One ``eigh`` of ``(2/m) X^T X = V diag(lam) V^T``, shared by every eta, gives
+    ``c = V diag(1/(lam + 2/eta)) V^T (2/m) X^T y`` and ``P = V diag((2/eta)/(lam + 2/eta)) V^T``,
+    except on the null space (``lam <= d * eps * max(lam)``): there ``P`` is the
+    identity and ``c`` has no component. Leading axes of ``xtx`` (..., d, d),
+    ``xty`` (..., d), ``m`` and ``eta`` broadcast: every pair at once, each bitwise as alone.
     """
     scale = (2.0 / m)[..., None]
-    pull = (2.0 / eta)[..., None, None] * np.eye(xtx.shape[-1])
-    lhs = scale[..., None] * xtx + pull
-    offset = np.broadcast_to((scale * xty)[..., None], lhs.shape[:-1] + (1,))
-    try:
-        solved = np.linalg.solve(lhs, np.concatenate([offset, np.broadcast_to(pull, lhs.shape)], axis=-1))
-    except np.linalg.LinAlgError as exc:  # a pull 2/eta below the rounding level of a rank-deficient X^T X
-        etas = ", ".join(f"{e:g}" for e in np.unique(eta))
-        raise DegenerateInputError(f"proximal system is singular at eta = {etas}") from exc
-    return solved[..., 0], solved[..., 1:]
+    lam, V = np.linalg.eigh(scale[..., None] * xtx)
+    Vt, pull = np.swapaxes(V, -1, -2), (2.0 / eta)[..., None]
+    null = lam <= xtx.shape[-1] * np.finfo(float).eps * lam[..., -1:]
+    shifted = np.where(null, np.inf, lam + pull)  # so 1/shifted is 0 on the null space
+    offset = np.matmul(V, np.matmul(Vt, (scale * xty)[..., None]) / shifted[..., None])[..., 0]
+    return offset, np.matmul(V * np.where(null, 1.0, pull / shifted)[..., None, :], Vt)
 
 
 def _proximal_solve(system, w_anchor) -> np.ndarray:

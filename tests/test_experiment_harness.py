@@ -1310,15 +1310,50 @@ class TestCli:
         assert scores.pop(("fedsgd", "0.1", "5", "2")) == scores.pop(("fedavg1", "", "5", "")) == "nan"
         assert len(scores) == 4 and all(math.isfinite(float(v)) for v in scores.values())
 
-    def test_singular_proximal_system_exits_4(self, tmp_path):
-        cfg = write_config(tmp_path, f"[data]\ncsv = {FIXTURE}\n\n[optimizer]\nalgorithm = fedavg2\neta = 1e300\n")
-        out = tmp_path / "out"
+    def test_huge_eta_fedavg2_run_is_the_large_eta_limit(self, tmp_path):
+        # a pull 2/eta below the rounding level of the rank-deficient layout; a
+        # fresh interpreter, so that a numpy RuntimeWarning would show on stderr
+        metrics = {}
+        for eta in ("1e6", "1e300"):
+            cfg = write_config(tmp_path, f"[data]\ncsv = {FIXTURE}\n\n[optimizer]\nalgorithm = fedavg2\neta = {eta}\n")
+            out = tmp_path / eta
+            proc = subprocess.run(
+                [sys.executable, "-m", "fedgtv.cli", "run", "--config", str(cfg), "--out", str(out)],
+                capture_output=True, text=True, env=src_env(), timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            (block,) = json.loads((out / "metrics.json").read_text())["algorithms"]
+            metrics[eta] = [*block["mean"].values(), *block["train_mse"], *block["val_mse"], *block["test_mse"]]
+        # the fixture's nodes fit their training rows exactly: train MSE is rounding, about 1e-28
+        assert metrics["1e300"] == pytest.approx(metrics["1e6"], rel=1e-9, abs=1e-20)
+
+    def test_huge_eta_cell_leaves_grid_intact(self, tmp_path):
+        val = {}
+        for etas in ("0.1", "1e300, 0.1"):
+            cfg = write_config(tmp_path, f"[data]\ncsv = {FIXTURE}\n\n[grid]\netas = {etas}\nalgorithms = fedavg2\n")
+            out = tmp_path / str(len(val))
+            result = self.run_cli("grid", "--config", str(cfg), "--out", str(out))
+            assert result.exit_code == 0, result.output
+            rows = [row.split(",") for row in (out / "grid.csv").read_text().strip().split("\n")[1:]]
+            assert all(math.isfinite(float(row[-1])) for row in rows)
+            val[etas] = {row[2]: row[-1] for row in rows}
+        assert val["1e300, 0.1"]["0.1"] == val["0.1"]["0.1"]
+        assert set(val["1e300, 0.1"]) == {"1e+300", "0.1"}
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_out_not_a_directory_exits_2(self, tmp_path, under):
+        cfg = synthetic_config(tmp_path)
+        (tmp_path / "spec.json").unlink()  # checked before the data: a config error, not a data error
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker / "sub" if under else blocker
+        before = sorted(tmp_path.iterdir())
         result = self.run_cli("run", "--config", str(cfg), "--out", str(out))
-        assert result.exit_code == 4, result.output
-        assert "training error: round 0: proximal system is singular at eta = 1e+300" in result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "Traceback" not in result.output
-        assert not out.exists()
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"config error: --out {out}: {blocker} is not a directory\n"
+        assert sorted(tmp_path.iterdir()) == before  # no staging directory left
+        assert blocker.read_text() == "keep\n"
 
     def test_seed_override_changes_splits(self, tmp_path):
         cfg = synthetic_config(tmp_path)

@@ -308,7 +308,7 @@ class TestFedavgV2Round:
             expected = np.mean(steps, axis=0)
             assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    @pytest.mark.parametrize("eta", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("eta", [0.1, 1.0, 10.0, 1e6, 1e17, 1e300])
     def test_public_layout_null_direction_stays_empty(self, public_design, eta):
         # the rcount slots sum to the intercept, so v = (slots - intercept) / sqrt(7)
         # is in the null space of every node's X; steps from zero map range(X^T)

@@ -245,18 +245,22 @@ class TestProximalStep:
                 proximal_step([[1.0]], [1.0], [0.0], eta=eta)
             with pytest.raises(ParameterError):
                 proximal_step_gram(np.eye(2), np.ones(2), 3, np.zeros(2), eta=eta)
-        # at eta = inf the pull vanishes, so a rank-deficient design is singular
+        # OptimizerConfig requires a finite eta, so the kernel rejects inf on every design
         with pytest.raises(ParameterError, match="eta must be positive and finite, got inf"):
             proximal_step([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], [0.0, 0.0], float("inf"))
         with pytest.raises(ParameterError, match="eta must be positive and finite, got inf"):
             proximal_step_gram([[5.0, 5.0], [5.0, 5.0]], [5.0, 5.0], 2, [0.0, 0.0], float("inf"))
 
-    def test_numerically_singular_system_is_a_typed_error(self):
-        # a finite eta whose pull 2/eta is below the rounding level of a rank-deficient X^T X
-        with pytest.raises(DegenerateInputError, match=r"^proximal system is singular at eta = 1e\+17$") as excinfo:
-            proximal_step([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], [0.0, 0.0], 1e17)
-        assert excinfo.value.exit_code == 4
-        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+    def test_rank_deficient_design_at_huge_eta_matches_pinv_oracle(self):
+        # a pull 2/eta below the rounding level of X^T X: the step is the
+        # least-squares fit nearest the anchor, pinv(X) y + (I - pinv(X) X) w_anchor
+        X, y = np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([1.0, 3.0])
+        pinv = np.linalg.pinv(X)
+        for anchor in ([0.0, 0.0], [3.0, -1.0], [-2.5, 7.0]):
+            expected = pinv @ y + (np.eye(2) - pinv @ X) @ anchor
+            for eta in (1e17, 1e300):
+                v = proximal_step(X, y, anchor, eta)
+                assert np.linalg.norm(v - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_gram_variant_is_bitwise_identical(self):
         rng = np.random.default_rng(11)
@@ -282,9 +286,9 @@ class TestProximalStep:
         assert np.array_equal(stacked, np.array(per_node))
 
         # a (cells, n) stack of anchors with one eta per cell broadcasts the same way
-        anchors = rng.standard_normal((2, 3, 4))
-        cells = _proximal_solve(_proximal_system(*grams, np.array([[0.7], [3.0]])), anchors)
-        for c, eta in enumerate((0.7, 3.0)):
+        anchors = rng.standard_normal((3, 3, 4))
+        cells = _proximal_solve(_proximal_system(*grams, np.array([[0.7], [3.0], [1e300]])), anchors)
+        for c, eta in enumerate((0.7, 3.0, 1e300)):
             for i in range(3):
                 assert np.array_equal(cells[c, i], proximal_step_gram(*(g[i] for g in grams), anchors[c, i], eta))
 
