@@ -552,8 +552,15 @@ def normalize(dataset: LocalDataset) -> LocalDataset:
     feature column's sum of squares is not finite (a label near 1e300, or a
     val or test value far outside the training range, would overflow every
     loss on that split), naming the split too. Returns a new dataset; the
-    input is untouched.
+    input is untouched, as each split's features are copied once and
+    rescaled in that copy.
     """
+    splits = {name: dataset.split(name) for name in ("train", "val", "test")}
+    return _zscore(replace(dataset, **{name: (X.copy(), y) for name, (X, y) in splits.items()}))
+
+
+def _zscore(dataset: LocalDataset) -> LocalDataset:
+    """:func:`normalize` in place: rescales ``dataset``'s own split arrays, and returns it with its feature_stats."""
     X_train, _ = dataset.train
     if X_train.shape[0] == 0:
         raise DegenerateInputError("cannot normalize an empty training split")
@@ -568,16 +575,14 @@ def normalize(dataset: LocalDataset) -> LocalDataset:
                 f"feature {_feature(dataset, col)!r} {fault} on the training split of node {dataset.node_id}"
             )
 
-    splits = {}
     for name in ("train", "val", "test"):
         X, y = dataset.split(name)
-        X = X.copy()
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is rejected below
             if X.shape[0]:
-                X[:, cols] = (X[:, cols] - means) / stds
+                t = X[:, cols]  # one temporary, rescaled in place: bitwise (X[:, cols] - means) / stds
+                X[:, cols] = np.divide(np.subtract(t, means, out=t), stds, out=t)
         _check_sums_of_squares(dataset, name, X, y)
-        splits[name] = X, y
-    return replace(dataset, **splits, feature_stats=(means, stds))
+    return replace(dataset, feature_stats=(means, stds))
 
 
 def _split_node(node_id: int, X: np.ndarray, y: np.ndarray, seed: int, **fields) -> LocalDataset:
@@ -587,17 +592,21 @@ def _split_node(node_id: int, X: np.ndarray, y: np.ndarray, seed: int, **fields)
 
 
 def load_preprocessed(path, schema: CsvSchema | None = None, seed: int = 42) -> tuple[list[LocalDataset], int]:
-    """Full pipeline: load_csv -> engineer_features -> split -> normalize.
+    """Full pipeline: load_csv -> split -> engineer_features -> normalize.
 
     Nodes are numbered 1..n by sorted facility id. Every node is split with
-    the same seed. Returns ``(datasets, dropped_row_count)``.
+    the same seed. Returns ``(datasets, dropped_row_count)``. One copy from
+    block to dataset: each split is engineered from its own rows (features
+    are built row by row), then z-scored in place once its block is freed.
     """
     blocks, dropped = load_csv(path, schema)
     datasets = []
     for node_id, facid in enumerate(list(blocks), start=1):
-        X, y = engineer_features(blocks.pop(facid))  # frees each block once its features are built
+        block = blocks.pop(facid)
+        splits = [engineer_features(block[rows]) for rows in split_dataset(len(block), seed)]
+        del block  # freed before its splits are z-scored
         fields = dict(numeric_columns=NUMERIC_COLUMNS.copy(), feature_names=FEATURE_NAMES, source_label=facid)
-        datasets.append(normalize(_split_node(node_id, X, y, seed, **fields)))
+        datasets.append(_zscore(LocalDataset(node_id, *splits, **fields)))
     return datasets, dropped
 
 

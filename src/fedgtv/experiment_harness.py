@@ -82,10 +82,10 @@ class GridSpec:
     Defaults are the usual sweep: alpha in {1, 0.5, 0.1}, eta in
     {0.1, 0.01, 0.001}, degree in {1, 2, 3, 4}, all three algorithms. alphas
     and degrees only apply to fedsgd. Every eta must be positive and every
-    alpha non-negative, both finite; no axis repeats a value. Once the node
-    count n is known, the search rejects any degree outside [1, n - 1] with
-    ParameterError (exit 2) rather than dropping it, so the default degree
-    axis fails on data with fewer than 5 nodes.
+    alpha non-negative, both finite (fedavg2 needs 2/eta finite too); no axis
+    repeats a value. Once the node count n is known, the search rejects any
+    degree outside [1, n - 1] with ParameterError (exit 2) rather than dropping
+    it, so the default degree axis fails on data with fewer than 5 nodes.
     """
 
     alphas: tuple[float, ...] = (1.0, 0.5, 0.1)
@@ -108,6 +108,8 @@ class GridSpec:
         object.__setattr__(
             self, "algorithms", tuple(Algorithm(a) for a in self.algorithms)
         )
+        if Algorithm.FEDAVG2 in self.algorithms and not math.isfinite(2 / min(self.etas)):
+            raise ParameterError(f"grid etas must be large enough that 2/eta is finite for fedavg2, got {min(self.etas)}")
         for axis in ("alphas", "etas", "degrees", "algorithms"):
             values = [getattr(v, "value", v) for v in getattr(self, axis)]
             if len(set(values)) < len(values):
@@ -698,7 +700,8 @@ def run_experiment(
             "algorithms": [a.value for a in cfg.algorithms], "eta": cfg.eta, "alpha": cfg.alpha,
             "batch_size": cfg.batch_size, "max_iterations": cfg.max_iterations,
         }
-        OptimizerConfig(Algorithm.FEDSGD, cfg.eta, cfg.alpha, **settings)  # checks alpha also when nothing uses it
+        for algo in cfg.algorithms:  # checks eta for each, and alpha also when nothing uses it, before anything trains
+            OptimizerConfig(algo, cfg.eta, cfg.alpha, **settings)
         for algo in cfg.algorithms:
             # the one difference from a grid cell: fedsgd trains on the configured graph even when it is disconnected
             fedsgd = algo is Algorithm.FEDSGD

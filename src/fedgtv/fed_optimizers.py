@@ -100,7 +100,7 @@ class OptimizerConfig:
     for fedavg2 (larger eta = weaker pull toward the shared anchor).
     ``alpha`` and ``batch_size`` only affect fedsgd. ``trace_every`` sets the
     logging cadence of the training trace. ``eta`` must be positive and
-    ``alpha`` non-negative, both finite.
+    ``alpha`` non-negative, both finite; fedavg2's ``2/eta`` must be finite.
     """
 
     algorithm: Algorithm
@@ -115,6 +115,8 @@ class OptimizerConfig:
         object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ParameterError(f"eta must be positive and finite, got {self.eta}")
+        if self.algorithm is Algorithm.FEDAVG2 and not math.isfinite(2 / self.eta):
+            raise ParameterError(f"fedavg2 eta must be large enough that 2/eta is finite, got {self.eta}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ParameterError(f"alpha must be non-negative and finite, got {self.alpha}")
         if self.batch_size < 1:

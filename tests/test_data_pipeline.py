@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace
 from operator import itemgetter
 from pathlib import Path
@@ -814,10 +815,12 @@ class TestNormalize:
         assert stds[0] == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-15)
 
     def test_input_not_modified(self):
-        raw = make_dataset([1.0, 2.0, 3.0])
-        before = raw.train[0].copy()
+        raw = make_dataset([1.0, 2.0, 3.0], val_col=[4.0, 0.5], test_col=[-1.0])
+        before = {name: tuple(a.copy() for a in raw.split(name)) for name in ("train", "val", "test")}
         normalize(raw)
-        assert np.array_equal(raw.train[0], before)
+        for name, arrays in before.items():
+            for now, then in zip(raw.split(name), arrays):
+                assert now.tobytes() == then.tobytes(), name
 
 
 def cluster_spec(noise=0.0, seed=0, rows=40):
@@ -899,6 +902,35 @@ class TestGenerateSynthetic:
             generate_synthetic(spec)
 
 
+UNEVEN_SIZES = {"D": 1_500, "A": 3_000, "E": 9_000, "C": 600, "B": 5_000}  # by first appearance in the file
+
+
+@pytest.fixture(scope="module")
+def uneven_los_csv(tmp_path_factory):
+    """A LOS-shaped CSV of 19,100 valid rows over five facilities of unequal size, shuffled so that the
+    facilities first appear in the file in UNEVEN_SIZES' order, not in sorted order."""
+    rng = np.random.default_rng(22)
+    facids = np.repeat(list(UNEVEN_SIZES), list(UNEVEN_SIZES.values()))
+    head = [list(facids).index(f) for f in UNEVEN_SIZES]  # one row of each, in order, leads the file
+    facids = np.concatenate([facids[head], rng.permutation(np.delete(facids, head))])
+    m = len(facids)
+    columns = dict(
+        eid=np.arange(1, m + 1).astype(str),
+        vdate=np.full(m, "1/1/2012"),
+        rcount=rng.choice(["0", "1", "2", "3", "4", "5+"], m),
+        gender=rng.choice(["M", "F"], m),
+        hemo=rng.integers(0, 2, m).astype(str),
+        lengthofstay=rng.integers(1, 12, m).astype(str),
+        facid=facids,
+        **{name: [repr(v) for v in rng.normal(10.0, 3.0, m).tolist()] for name in NUMERIC_FIELDS},
+        **{name: rng.integers(0, 2, m).astype(str) for name in data_pipeline.DEFAULT_CONDITION_COLUMNS},
+    )
+    path = tmp_path_factory.mktemp("uneven") / "los.csv"
+    rows = zip(*(columns.get(name, np.full(m, "0")) for name in HEADER))
+    path.write_text("\n".join(map(",".join, [HEADER, *rows])) + "\n", encoding="utf-8")
+    return path
+
+
 class TestLoadPreprocessed:
     def test_fixture_pipeline(self):
         datasets, dropped = load_preprocessed(FIXTURE, seed=42)
@@ -927,6 +959,39 @@ class TestLoadPreprocessed:
         for da, db in zip(a, b):
             assert np.array_equal(da.train[0], db.train[0])
             assert np.array_equal(da.train[1], db.train[1])
+
+    @pytest.mark.parametrize("seed", [42, 20268422])
+    def test_bitwise_normalize_of_engineered_split(self, uneven_los_csv, seed):
+        # the composition load_preprocessed replaces: engineer the whole block, split it, normalize a copy
+        datasets, dropped = load_preprocessed(uneven_los_csv, seed=seed)
+        blocks, expected_dropped = load_csv(uneven_los_csv)
+        assert dropped == expected_dropped == 0
+        assert [ds.source_label for ds in datasets] == sorted(UNEVEN_SIZES) == list(blocks)
+        for node_id, (ds, (facid, block)) in enumerate(zip(datasets, blocks.items()), start=1):
+            fields = dict(numeric_columns=NUMERIC_COLUMNS.copy(), feature_names=FEATURE_NAMES, source_label=facid)
+            expected = normalize(data_pipeline._split_node(node_id, *engineer_features(block), seed, **fields))
+            assert ds.node_id == node_id and len(block) == UNEVEN_SIZES[facid]
+            for name in ("train", "val", "test"):
+                for got, want in zip(ds.split(name), expected.split(name)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (facid, name)
+            for got, want in zip(ds.feature_stats, expected.feature_stats):
+                assert got.tobytes() == want.tobytes(), facid
+
+    def test_one_copy_from_block_to_dataset(self, uneven_los_csv, monkeypatch):
+        # prebuilt blocks keep the parse out of the measurement; the largest facility is the last node.
+        # tracemalloc's peak over the finished datasets' bytes measured 2.09 when the whole block was
+        # engineered, then split, then normalized as a copy, and 1.30 with one copy per split.
+        blocks, dropped = load_csv(uneven_los_csv)
+        monkeypatch.setattr(data_pipeline, "load_csv", lambda path, schema=None: (dict(blocks), dropped))
+        tracemalloc.start()
+        try:
+            datasets, _ = load_preprocessed(uneven_los_csv, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(a.nbytes for ds in datasets for name in ("train", "val", "test") for a in ds.split(name))
+        assert size == 8 * 20 * sum(UNEVEN_SIZES.values())
+        assert peak / size < 1.5
 
 
 class TestDumpPreprocessed:

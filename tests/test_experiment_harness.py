@@ -159,6 +159,13 @@ class TestGridSpec:
         with pytest.raises(ParameterError):
             GridSpec(degrees=(1.5,))
 
+    def test_fedavg2_eta_whose_pull_overflows_rejected(self):
+        etas = (0.1, 1e-309)
+        with pytest.raises(ParameterError, match=r"^grid etas must be large enough that 2/eta is finite for fedavg2, got 1e-309$"):
+            GridSpec(etas=etas)
+        assert GridSpec(etas=etas, algorithms=("fedsgd", "fedavg1")).etas == etas
+        assert GridSpec(etas=(1.2e-308,)).etas == (1.2e-308,)
+
     @pytest.mark.parametrize(
         "axis, values, shown",
         [
@@ -1340,6 +1347,39 @@ class TestCli:
             val[etas] = {row[2]: row[-1] for row in rows}
         assert val["1e300, 0.1"]["0.1"] == val["0.1"]["0.1"]
         assert set(val["1e300, 0.1"]) == {"1e+300", "0.1"}
+
+    @pytest.mark.parametrize(
+        "mode, body, message",
+        [
+            ("run", "[optimizer]\nalgorithm = fedavg2\neta = 1e-309", "fedavg2 eta must be large enough that 2/eta is finite"),
+            (
+                "run", "[optimizer]\nalgorithm = fedavg1, fedavg2\neta = 1e-309",
+                "fedavg2 eta must be large enough that 2/eta is finite",
+            ),
+            (
+                "grid", "[grid]\netas = 0.1, 1e-309\nalgorithms = fedavg1, fedavg2",
+                "[grid] grid etas must be large enough that 2/eta is finite for fedavg2",
+            ),
+        ],
+        ids=["run", "run_after_fedavg1", "grid"],
+    )
+    def test_fedavg2_eta_whose_pull_overflows_exits_2(self, tmp_path, monkeypatch, mode, body, message):
+        # 2/eta overflows below about 1.1e-308; such an eta made every proximal map NaN
+        trained = []
+        monkeypatch.setattr(experiment_harness, "train_cells", lambda *args: trained.append(args))
+        cfg = write_config(tmp_path, f"[data]\ncsv = {FIXTURE}\n\n{body}\n")
+        out = tmp_path / "out"
+        result = self.run_cli(mode, "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"config error: {message}, got 1e-309\n"
+        assert trained == [] and not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+    def test_fedavg1_run_keeps_an_eta_whose_pull_overflows(self, tmp_path):
+        cfg = write_config(tmp_path, f"[data]\ncsv = {FIXTURE}\n\n[optimizer]\nalgorithm = fedavg1\neta = 1e-309\n")
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "out" / "metrics.json").is_file()
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
     def test_out_not_a_directory_exits_2(self, tmp_path, under):

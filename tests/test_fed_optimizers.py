@@ -79,6 +79,14 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig("sgd", eta=0.1)
 
+    @pytest.mark.parametrize("eta", [1.1e-308, 1e-309, 5e-324])
+    def test_fedavg2_eta_whose_pull_overflows_rejected(self, eta):
+        with pytest.raises(ParameterError, match=f"^fedavg2 eta must be large enough that 2/eta is finite, got {eta}$"):
+            OptimizerConfig("fedavg2", eta=eta)
+        assert OptimizerConfig("fedavg2", eta=1.2e-308).eta == 1.2e-308
+        for algorithm in ("fedsgd", "fedavg1"):
+            assert OptimizerConfig(algorithm, eta=eta).eta == eta
+
 
 class TestGtvObjective:
     def test_hand_example(self):
