@@ -498,8 +498,8 @@ def engineer_features(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X, block[:, 13].copy()
 
 
-def split_dataset(rows, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic 70/15/15 split of row indices.
+def split_dataset(m: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic 70/15/15 split of the row indices range(m).
 
     The permutation is ``np.random.default_rng(seed).permutation(m)``, i.e. a
     Fisher-Yates shuffle driven by PCG64, so identical inputs and seed give
@@ -507,10 +507,7 @@ def split_dataset(rows, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     train = floor(0.70 m); the held-out remainder is halved with the odd row
     going to test (val = floor(rest/2)). The three sets always partition
     range(m).
-
-    ``rows`` may be the row count itself or any sized sequence.
     """
-    m = int(rows) if isinstance(rows, (int, np.integer)) else len(rows)
     if m < 3:
         raise SplitError(f"need at least 3 rows to split, got {m}")
     perm = np.random.default_rng(seed).permutation(m)
@@ -583,12 +580,6 @@ def _zscore(dataset: LocalDataset) -> LocalDataset:
                 X[:, cols] = np.divide(np.subtract(t, means, out=t), stds, out=t)
         _check_sums_of_squares(dataset, name, X, y)
     return replace(dataset, feature_stats=(means, stds))
-
-
-def _split_node(node_id: int, X: np.ndarray, y: np.ndarray, seed: int, **fields) -> LocalDataset:
-    """One node's rows split by :func:`split_dataset`; ``fields`` are the other LocalDataset fields."""
-    tr, va, te = split_dataset(len(y), seed)
-    return LocalDataset(node_id, (X[tr], y[tr]), (X[va], y[va]), (X[te], y[te]), **fields)
 
 
 def load_preprocessed(path, schema: CsvSchema | None = None, seed: int = 42) -> tuple[list[LocalDataset], int]:
@@ -679,7 +670,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LocalDataset]:
         if spec.noise_std > 0:
             y = y + spec.noise_std * rng.standard_normal(m)
         fields = dict(numeric_columns=np.arange(spec.feature_dim - 1), feature_names=names)
-        dataset = _split_node(node + 1, X, y, spec.seed, **fields)
+        dataset = LocalDataset(node + 1, *[(X[rows], y[rows]) for rows in split_dataset(m, spec.seed)], **fields)
         for name in ("train", "val", "test"):
             _check_sums_of_squares(dataset, name, *dataset.split(name))
         datasets.append(dataset)

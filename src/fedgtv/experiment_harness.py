@@ -26,6 +26,7 @@ import numpy as np
 
 from ._version import __version__
 from .data_pipeline import (
+    DEFAULT_CONDITION_COLUMNS,
     CsvSchema,
     LocalDataset,
     LOGICAL_FIELDS,
@@ -81,11 +82,12 @@ class GridSpec:
 
     Defaults are the usual sweep: alpha in {1, 0.5, 0.1}, eta in
     {0.1, 0.01, 0.001}, degree in {1, 2, 3, 4}, all three algorithms. alphas
-    and degrees only apply to fedsgd. Every eta must be positive and every
-    alpha non-negative, both finite (fedavg2 needs 2/eta finite too); no axis
-    repeats a value. Once the node count n is known, the search rejects any
-    degree outside [1, n - 1] with ParameterError (exit 2) rather than dropping
-    it, so the default degree axis fails on data with fewer than 5 nodes.
+    and degrees only apply to fedsgd. Every (algorithm, eta, alpha) must make
+    a valid OptimizerConfig, whose rule a ParameterError prefixed ``grid``
+    names; no axis repeats a value. Once the node count n is known, the
+    search rejects any degree outside [1, n - 1] with ParameterError (exit 2)
+    rather than dropping it, so the default degree axis fails on data with
+    fewer than 5 nodes.
     """
 
     alphas: tuple[float, ...] = (1.0, 0.5, 0.1)
@@ -96,10 +98,6 @@ class GridSpec:
     def __post_init__(self):
         if not self.alphas or not self.etas or not self.degrees or not self.algorithms:
             raise ParameterError("grid axes must be non-empty")
-        if not all(math.isfinite(a) and a >= 0 for a in self.alphas):
-            raise ParameterError("grid alphas must be non-negative and finite")
-        if not all(math.isfinite(e) and e > 0 for e in self.etas):
-            raise ParameterError("grid etas must be positive and finite")
         if any(int(d) != d or d < 1 for d in self.degrees):
             raise ParameterError("grid degrees must be integers >= 1")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
@@ -108,8 +106,10 @@ class GridSpec:
         object.__setattr__(
             self, "algorithms", tuple(Algorithm(a) for a in self.algorithms)
         )
-        if Algorithm.FEDAVG2 in self.algorithms and not math.isfinite(2 / min(self.etas)):
-            raise ParameterError(f"grid etas must be large enough that 2/eta is finite for fedavg2, got {min(self.etas)}")
+        try:  # alpha too where only fedsgd reads it, as run checks it
+            [OptimizerConfig(a, eta, alpha) for a in self.algorithms for eta in self.etas for alpha in self.alphas]
+        except ParameterError as exc:
+            raise ParameterError(f"grid {exc}") from exc
         for axis in ("alphas", "etas", "degrees", "algorithms"):
             values = [getattr(v, "value", v) for v in getattr(self, axis)]
             if len(set(values)) < len(values):
@@ -163,12 +163,6 @@ class MetricsReport:
 
     blocks: list[AlgorithmMetrics] = field(default_factory=list)
 
-    def block(self, algorithm: str) -> AlgorithmMetrics:
-        for b in self.blocks:
-            if b.algorithm == algorithm:
-                return b
-        raise ParameterError(f"no metrics block for algorithm {algorithm!r}")
-
     def to_dict(self) -> dict:
         return {"algorithms": [b.to_dict() for b in self.blocks]}
 
@@ -192,9 +186,10 @@ class MetricsReport:
 
 
 def _fmt_param(v) -> str:
+    """An int as is; a float by ``:g`` where that reads back equal, else by its shortest round-trip repr."""
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return f"{v:g}"
+    return f"{v:g}" if float(f"{v:g}") == v else repr(float(v))
 
 
 def evaluate(
@@ -367,7 +362,7 @@ class ExperimentConfig:
     synthetic_path: Path | None = None
     seed: int = 42
     columns: dict[str, str] = field(default_factory=dict)
-    condition_columns: tuple[str, ...] | None = None
+    condition_columns: tuple[str, ...] = DEFAULT_CONDITION_COLUMNS
     degree: int = 2
     algorithms: tuple[Algorithm, ...] = ALL_ALGORITHMS
     eta: float = 0.1
@@ -555,10 +550,10 @@ def _render_trace_csv(traces: dict[str, TrainingTrace], node_ids: Sequence[int])
 def _render_grid_csv(cells: Sequence[GridCell]) -> str:
     lines = ["algorithm,alpha,eta,degree,connected,val_mse"]
     for c in cells:
-        alpha = "" if c.alpha is None else f"{c.alpha:g}"
+        alpha = "" if c.alpha is None else _fmt_param(c.alpha)
         degree = "" if c.degree is None else str(c.degree)
         val = "" if c.val_mse is None else f"{c.val_mse:.17g}"
-        lines.append(f"{c.algorithm},{alpha},{c.eta:g},{degree},{int(c.connected)},{val}")
+        lines.append(f"{c.algorithm},{alpha},{_fmt_param(c.eta)},{degree},{int(c.connected)},{val}")
     return "\n".join(lines) + "\n"
 
 
@@ -580,11 +575,7 @@ def _load_datasets(cfg: ExperimentConfig):
     if cfg.data_path is not None and cfg.synthetic_path is not None:
         raise ConfigError("configure exactly one of [data] csv and [data] synthetic")
     if cfg.data_path is not None:
-        schema = CsvSchema(
-            columns=cfg.columns,
-            condition_columns=cfg.condition_columns
-            or CsvSchema().condition_columns,
-        )
+        schema = CsvSchema(columns=cfg.columns, condition_columns=cfg.condition_columns)
         datasets, dropped = load_preprocessed(cfg.data_path, schema, cfg.seed)
         source = {
             "type": "csv",

@@ -15,7 +15,6 @@ __all__ = [
     "mse_gradient",
     "mse_loss",
     "proximal_step",
-    "proximal_step_gram",
 ]
 
 

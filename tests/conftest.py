@@ -1,7 +1,33 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fedgtv.data_pipeline import FEATURE_DIM, engineer_features
+from fedgtv.empirical_graph import EmpiricalGraph
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def graph_from_edges(n, edges, min_degree=1):
+    A = np.zeros((n, n))
+    for i, j in edges:
+        A[i, j] = A[j, i] = 1.0
+    return EmpiricalGraph(adjacency=A, min_degree=min_degree)
+
+
+def load_perfbench_inputs():
+    """The benchmark's input writers, ``perfbench/inputs.py``, as a module."""
+    spec = importlib.util.spec_from_file_location("los_inputs", ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up while they are built
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture

@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import graph_from_edges
 
 from fedgtv.data_pipeline import LocalDataset, SyntheticSpec, generate_synthetic
 from fedgtv.empirical_graph import (
-    EmpiricalGraph,
     build_knn_graph,
     discrepancy_matrix,
     pretrain_local_weights,
@@ -77,13 +77,6 @@ def make_local(X, y, node_id=1):
         test=(X[:0], y[:0]),
         numeric_columns=np.arange(X.shape[1]),
     )
-
-
-def graph_from_edges(n, edges, min_degree=1):
-    A = np.zeros((n, n))
-    for i, j in edges:
-        A[i, j] = A[j, i] = 1.0
-    return EmpiricalGraph(adjacency=A, min_degree=min_degree)
 
 
 def random_nodes(n_nodes, rows, dim, seed, noise=0.2):

@@ -1,5 +1,4 @@
 import csv
-import importlib.util
 import math
 import os
 import subprocess
@@ -12,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import load_perfbench_inputs
 
 from fedgtv import data_pipeline
 from fedgtv.data_pipeline import (
@@ -500,15 +500,9 @@ def split_against_serial(monkeypatch):
 @pytest.fixture(scope="module")
 def los_csvs(tmp_path_factory):
     """The benchmark's los_grid CSV (100k rows) at seeds 1 and 7, by seed."""
-    spec = importlib.util.spec_from_file_location("los_inputs", ROOT / "perfbench" / "inputs.py")
-    los_inputs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = los_inputs  # its dataclasses look it up
-    try:
-        spec.loader.exec_module(los_inputs)
-        out = tmp_path_factory.mktemp("los")
-        return {seed: los_inputs.write_los(seed, out / str(seed)).config.parent / "los.csv" for seed in (1, 7)}
-    finally:
-        del sys.modules[spec.name]
+    los_inputs = load_perfbench_inputs()
+    out = tmp_path_factory.mktemp("los")
+    return {seed: los_inputs.write_los(seed, out / str(seed)).config.parent / "los.csv" for seed in (1, 7)}
 
 
 def long_line(width=200_000):
@@ -593,6 +587,31 @@ class TestSplitLoad:
         (error, text), helper_ran = split_against_serial(write_csv(tmp_path, lines))
         assert helper_ran and error is SchemaError
         assert text == f"{tmp_path / 'rows.csv'}, line 13: not UTF-8 text: byte 0xe9: invalid continuation byte"
+
+    def test_oversized_header_field_names_line_1(self, tmp_path, split_against_serial):
+        limit = csv.field_size_limit()
+        path = write_csv(tmp_path, plain_lines(3000, np.random.default_rng(22)), header=HEADER + ["x" * (limit + 1)])
+        (error, text), helper_ran = split_against_serial(path)  # both parts read the header
+        assert helper_ran and error is SchemaError
+        assert text == f"{path}, line 1: field larger than field limit ({limit})"
+
+    def test_fork_failure_falls_back_to_one_pass(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path, plain_lines(300, np.random.default_rng(23)))
+        one_pass = load_outcome(path)
+        pipes, pipe = [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+
+        def no_fork():
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(data_pipeline, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(data_pipeline, "_usable_cpus", lambda: 2)
+        assert load_outcome(path) == one_pass
+        assert len(pipes) == 1
+        for fd in pipes[0]:
+            with pytest.raises(OSError):  # closed again
+                os.fstat(fd)
 
     @pytest.mark.parametrize("fault_at", [None, 3, 250], ids=["returns", "raises_in_first_part", "raises_in_helper_part"])
     def test_helper_is_reaped(self, tmp_path, monkeypatch, fault_at):
@@ -697,11 +716,6 @@ class TestSplitDataset:
         b = split_dataset(100, seed=42)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
-
-    def test_accepts_sequences(self):
-        rows = ["r%d" % i for i in range(10)]
-        tr, va, te = split_dataset(rows, seed=42)
-        assert (len(tr), len(va), len(te)) == (7, 1, 2)
 
     def test_partition_property(self):
         rng = np.random.default_rng(0)
@@ -969,7 +983,9 @@ class TestLoadPreprocessed:
         assert [ds.source_label for ds in datasets] == sorted(UNEVEN_SIZES) == list(blocks)
         for node_id, (ds, (facid, block)) in enumerate(zip(datasets, blocks.items()), start=1):
             fields = dict(numeric_columns=NUMERIC_COLUMNS.copy(), feature_names=FEATURE_NAMES, source_label=facid)
-            expected = normalize(data_pipeline._split_node(node_id, *engineer_features(block), seed, **fields))
+            X, y = engineer_features(block)
+            splits = [(X[rows], y[rows]) for rows in split_dataset(len(block), seed)]
+            expected = normalize(LocalDataset(node_id, *splits, **fields))
             assert ds.node_id == node_id and len(block) == UNEVEN_SIZES[facid]
             for name in ("train", "val", "test"):
                 for got, want in zip(ds.split(name), expected.split(name)):

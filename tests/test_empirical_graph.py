@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import graph_from_edges
 
 from fedgtv.data_pipeline import SyntheticSpec, generate_synthetic
 from fedgtv.empirical_graph import (
@@ -17,13 +18,6 @@ from fedgtv.errors import (
     ParameterError,
     ShapeError,
 )
-
-
-def graph_from_edges(n, edges, min_degree=1):
-    A = np.zeros((n, n))
-    for i, j in edges:
-        A[i, j] = A[j, i] = 1.0
-    return EmpiricalGraph(adjacency=A, min_degree=min_degree)
 
 
 def random_discrepancies(rng, n):

@@ -1,5 +1,4 @@
 import configparser
-import importlib.util
 import json
 import math
 import os
@@ -13,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import load_perfbench_inputs
 
 from fedgtv import experiment_harness
 from fedgtv.cli import main
@@ -40,7 +40,6 @@ from fedgtv.model_core import least_squares_fit
 
 FIXTURE = Path(__file__).parent / "data" / "los_fixture.csv"
 ROOT = Path(__file__).resolve().parent.parent
-LOS_INPUTS = ROOT / "perfbench" / "inputs.py"
 
 # One malformed value per typed config key; a [data] path accepts any string.
 BAD_VALUES = {
@@ -161,7 +160,7 @@ class TestGridSpec:
 
     def test_fedavg2_eta_whose_pull_overflows_rejected(self):
         etas = (0.1, 1e-309)
-        with pytest.raises(ParameterError, match=r"^grid etas must be large enough that 2/eta is finite for fedavg2, got 1e-309$"):
+        with pytest.raises(ParameterError, match=r"^grid fedavg2 eta must be large enough that 2/eta is finite, got 1e-309$"):
             GridSpec(etas=etas)
         assert GridSpec(etas=etas, algorithms=("fedsgd", "fedavg1")).etas == etas
         assert GridSpec(etas=(1.2e-308,)).etas == (1.2e-308,)
@@ -240,12 +239,10 @@ class TestEvaluate:
         assert d["algorithms"][0]["mean"]["train"] == report.blocks[0].mean_train
         assert d["algorithms"][0]["node_ids"] == [1, 2, 3, 4]
 
-    def test_block_lookup(self):
-        datasets = cluster_datasets()
-        report = evaluate(np.zeros((4, 3)), datasets, "fedavg1")
-        assert report.block("fedavg1").algorithm == "fedavg1"
-        with pytest.raises(ParameterError):
-            report.block("fedsgd")
+    def test_report_header_keeps_values_g_would_round(self):
+        hyperparameters = {"alpha": 1e-05, "eta": 0.1000001, "degree": 2}
+        text = evaluate(np.zeros((4, 3)), cluster_datasets(), "fedsgd", hyperparameters).to_text()
+        assert text.startswith("== fedsgd (alpha=1e-05, eta=0.1000001, degree=2) ==\n")
 
     def test_wrong_stack_shape(self):
         with pytest.raises(ParameterError):
@@ -650,6 +647,28 @@ class TestRunExperiment:
         report = result["report"]
         assert [b.algorithm for b in report.blocks] == ["fedsgd", "fedavg1", "fedavg2"]
 
+    def test_grid_csv_tells_apart_etas_g_would_round(self, tmp_path):
+        # :g prints both etas as 0.1, so two cells per algorithm read the same; the winner, 0.09999999, matched no row
+        write_spec(tmp_path)
+        cfg = write_config(
+            tmp_path,
+            "[data]\nsynthetic = spec.json\n\n[optimizer]\nmax_iterations = 40\n\n"
+            "[grid]\netas = 0.09999999, 0.1\nalphas = 0.5\ndegrees = 2\nalgorithms = fedsgd, fedavg1\n",
+        )
+        out = tmp_path / "out"
+        result = run_experiment(cfg, out, mode="grid")
+        rows = [line.split(",") for line in (out / "grid.csv").read_text().splitlines()[1:]]
+        assert [(row[0], row[1], row[2]) for row in rows] == [
+            ("fedsgd", "0.5", "0.09999999"), ("fedsgd", "0.5", "0.1"), ("fedavg1", "", "0.09999999"), ("fedavg1", "", "0.1"),
+        ]
+        headers = [line for line in (out / "metrics.txt").read_text().splitlines() if line.startswith("== ")]
+        for name, selected in result["manifest"]["selected"].items():
+            assert selected["eta"] == 0.09999999
+            [row] = [row for row in rows if row[0] == name and float(row[2]) == selected["eta"]]
+            assert float(row[-1]) == selected["val_mse"]
+            [header] = [h for h in headers if h.startswith(f"== {name} (")]
+            assert f"eta={row[2]}" in header
+
     def test_grid_mode_trains_each_cell_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -953,13 +972,10 @@ class TestRunExperiment:
             run_experiment(cfg, out, mode="run")
         assert not out.exists()
 
-    def test_grid_on_public_format_csv(self, tmp_path, monkeypatch):
+    def test_grid_on_public_format_csv(self, tmp_path):
         # The public layout is rank 18 of 19 columns (the rcount slots sum to
         # the intercept), so pretraining must take the minimum-norm fit.
-        spec = importlib.util.spec_from_file_location("los_inputs", LOS_INPUTS)
-        los_inputs = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, los_inputs)  # its dataclasses look it up
-        spec.loader.exec_module(los_inputs)
+        los_inputs = load_perfbench_inputs()
         shape = los_inputs.LosShape(
             facility_rows=(("A", 300), ("B", 350), ("C", 400), ("D", 450), ("E", 500)),
             malformed_per_kind=1,
@@ -1358,7 +1374,7 @@ class TestCli:
             ),
             (
                 "grid", "[grid]\netas = 0.1, 1e-309\nalgorithms = fedavg1, fedavg2",
-                "[grid] grid etas must be large enough that 2/eta is finite for fedavg2",
+                "[grid] grid fedavg2 eta must be large enough that 2/eta is finite",
             ),
         ],
         ids=["run", "run_after_fedavg1", "grid"],

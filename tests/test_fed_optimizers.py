@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import graph_from_edges
 
 import fedgtv.fed_optimizers
 from fedgtv.data_pipeline import LocalDataset, SyntheticSpec, generate_synthetic
-from fedgtv.empirical_graph import EmpiricalGraph
 from fedgtv.errors import DegenerateInputError, ParameterError, ShapeError
 from fedgtv.fed_optimizers import (
     Algorithm,
@@ -34,13 +34,6 @@ def make_ds(X, y, node_id=1):
         test=empty,
         numeric_columns=np.arange(X.shape[1]),
     )
-
-
-def graph_from_edges(n, edges, min_degree=1):
-    A = np.zeros((n, n))
-    for i, j in edges:
-        A[i, j] = A[j, i] = 1.0
-    return EmpiricalGraph(adjacency=A, min_degree=min_degree)
 
 
 def synthetic_datasets(n=3, rows=30, dim=3, noise=0.2, seed=0):
