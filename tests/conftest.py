@@ -30,6 +30,18 @@ def load_perfbench_inputs():
     return module
 
 
+@pytest.fixture(scope="session")
+def los_csvs(tmp_path_factory):
+    """The benchmark's los_grid CSV (100k rows) at seeds 1 and 7, by seed; each has its ``los.ini`` beside it.
+
+    Written once per session: the pin of the paper grid and the split-load
+    tests read the same files.
+    """
+    los_inputs = load_perfbench_inputs()
+    out = tmp_path_factory.mktemp("los")
+    return {seed: los_inputs.write_los(seed, out / str(seed)).config.parent / "los.csv" for seed in (1, 7)}
+
+
 @pytest.fixture
 def public_design():
     """Factory of ``(X, y)`` in the public 19-column feature layout.

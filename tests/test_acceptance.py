@@ -3,9 +3,11 @@
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the PASS lines.
 Criterion 7 exercises the public hospital length-of-stay benchmark and skips
 itself when the CSV is not present; set FEDGTV_LOS_CSV or place
-LengthOfStay.csv under tests/data/ to enable it.
+LengthOfStay.csv under tests/data/ to enable it. The paper grid also runs,
+pinned, on the benchmark's seeded public-format stand-in for that CSV.
 """
 
+import csv
 import json
 import os
 import textwrap
@@ -325,6 +327,103 @@ def test_criterion_7_length_of_stay_benchmark(tmp_path):
         f"within 0.3 of (1.354, 1.798, 1.897); selected fedsgd hyperparameters "
         f"alpha={selected['alpha']} eta={selected['eta']} "
         f"degree={selected['degree']} (reported, reference (0.1, 0.1, 2))"
+    )
+
+
+# The paper grid (``algorithm = all``, default axes) on the benchmark's
+# public-format stand-in for the hospital CSV (``write_los(1)``): every
+# grid.csv val_mse, keyed (algorithm, alpha, eta, degree).
+PAPER_GRID_VAL_MSE = {
+    ("fedsgd", 1.0, 0.1, 1): 1.47737565173,
+    ("fedsgd", 1.0, 0.01, 1): 1.55456954909,
+    ("fedsgd", 1.0, 0.001, 1): 3.64933618891,
+    ("fedsgd", 0.5, 0.1, 1): 1.42813788289,
+    ("fedsgd", 0.5, 0.01, 1): 1.50545129526,
+    ("fedsgd", 0.5, 0.001, 1): 3.6072474494,
+    ("fedsgd", 0.1, 0.1, 1): 1.36654439954,
+    ("fedsgd", 0.1, 0.01, 1): 1.44475839084,
+    ("fedsgd", 0.1, 0.001, 1): 3.56183021013,
+    ("fedsgd", 1.0, 0.1, 2): 1.54251446598,
+    ("fedsgd", 1.0, 0.01, 2): 1.61847149372,
+    ("fedsgd", 1.0, 0.001, 2): 3.71008970766,
+    ("fedsgd", 0.5, 0.1, 2): 1.48225549473,
+    ("fedsgd", 0.5, 0.01, 2): 1.56090335027,
+    ("fedsgd", 0.5, 0.001, 2): 3.65632173185,
+    ("fedsgd", 0.1, 0.1, 2): 1.38522566883,
+    ("fedsgd", 0.1, 0.01, 2): 1.46348848828,
+    ("fedsgd", 0.1, 0.001, 2): 3.57486680181,
+    ("fedsgd", 1.0, 0.1, 3): 1.56971914006,
+    ("fedsgd", 1.0, 0.01, 3): 1.6446413512,
+    ("fedsgd", 1.0, 0.001, 3): 3.73391142031,
+    ("fedsgd", 0.5, 0.1, 3): 1.50928182132,
+    ("fedsgd", 0.5, 0.01, 3): 1.58709139062,
+    ("fedsgd", 0.5, 0.001, 3): 3.67880084617,
+    ("fedsgd", 0.1, 0.1, 3): 1.39624468256,
+    ("fedsgd", 0.1, 0.01, 3): 1.47389531973,
+    ("fedsgd", 0.1, 0.001, 3): 3.58101352944,
+    ("fedsgd", 1.0, 0.1, 4): 1.57792068859,
+    ("fedsgd", 1.0, 0.01, 4): 1.65250892266,
+    ("fedsgd", 1.0, 0.001, 4): 3.7415106497,
+    ("fedsgd", 0.5, 0.1, 4): 1.5194376701,
+    ("fedsgd", 0.5, 0.01, 4): 1.59637747705,
+    ("fedsgd", 0.5, 0.001, 4): 3.68744874109,
+    ("fedsgd", 0.1, 0.1, 4): 1.40148007838,
+    ("fedsgd", 0.1, 0.01, 4): 1.47870184295,
+    ("fedsgd", 0.1, 0.001, 4): 3.58419959129,
+    ("fedavg1", None, 0.1, None): 1.68251728787,
+    ("fedavg1", None, 0.01, None): 1.7564923245,
+    ("fedavg1", None, 0.001, None): 3.84294847772,
+    ("fedavg2", None, 0.1, None): 1.68232206518,
+    ("fedavg2", None, 0.01, None): 2.01347702709,
+    ("fedavg2", None, 0.001, None): 4.90961095767,
+}
+
+# Each algorithm's selected hyperparameters and mean (train, val, test) MSE on the stand-in.
+PAPER_GRID_SELECTED = {
+    "fedsgd": ({"alpha": 0.1, "eta": 0.1, "degree": 1}, (1.35061714508, 1.36654439954, 1.32927924137)),
+    "fedavg1": ({"eta": 0.1}, (1.65540843849, 1.68251728787, 1.63526034899)),
+    "fedavg2": ({"eta": 0.1}, (1.65545482494, 1.68232206518, 1.63512142021)),
+}
+
+
+def test_paper_grid_on_public_format_stand_in(tmp_path, los_csvs):
+    # The paper's own experiment at paper scale (5 facilities, 100k rows) on
+    # the benchmark's seeded stand-in. Values are pinned to a relative 1e-9,
+    # not to their bytes: the BLAS thread count moves their last bits.
+    config = los_csvs[1].parent / "los.ini"
+    result = run_experiment(config, tmp_path / "out", mode="grid", algorithm="all")
+    source = result["manifest"]["source"]
+    assert source["dropped_rows"] == 33
+    assert source["rows_per_node"] == [9875, 30012, 30755, 9929, 19429]
+    with (tmp_path / "out" / "grid.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    number = lambda kind, text: kind(text) if text else None
+    grid = {
+        (r["algorithm"], number(float, r["alpha"]), float(r["eta"]), number(int, r["degree"])): float(r["val_mse"])
+        for r in rows
+    }
+    assert grid.keys() == PAPER_GRID_VAL_MSE.keys()
+    for cell, value in PAPER_GRID_VAL_MSE.items():
+        assert grid[cell] == pytest.approx(value, rel=1e-9), cell
+    blocks = {b.algorithm: b for b in result["report"].blocks}
+    assert list(blocks) == list(PAPER_GRID_SELECTED)
+    for name, (hyperparameters, means) in PAPER_GRID_SELECTED.items():
+        block = blocks[name]
+        assert dict(block.hyperparameters) == hyperparameters
+        assert (block.mean_train, block.mean_val, block.mean_test) == pytest.approx(means, rel=1e-9), name
+    # The parts of criterion 7 that the stand-in meets. Its fedavg1 < fedavg2
+    # does not hold here (1.635260 against 1.635121): both averaging variants
+    # end near the pooled fit of the stand-in's facilities, so neither order
+    # is asserted.
+    test = {name: block.mean_test for name, block in blocks.items()}
+    assert test["fedsgd"] < test["fedavg1"] and test["fedsgd"] < test["fedavg2"]
+    for name, reference in {"fedsgd": 1.354, "fedavg1": 1.798, "fedavg2": 1.897}.items():
+        assert abs(test[name] - reference) <= 0.3
+        assert abs(blocks[name].mean_train - blocks[name].mean_val) < 0.2
+    print(
+        f"PASS paper grid on the stand-in: mean test MSE fedsgd {test['fedsgd']:.6f} below "
+        f"fedavg1 {test['fedavg1']:.6f} and fedavg2 {test['fedavg2']:.6f} (criterion 7's "
+        "fedavg1 < fedavg2 does not hold on the stand-in); 42 grid scores pinned"
     )
 
 

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import load_perfbench_inputs
 
 from fedgtv import data_pipeline
 from fedgtv.data_pipeline import (
@@ -495,14 +494,6 @@ def split_against_serial(monkeypatch):
         return split, helpers == 1
 
     return check
-
-
-@pytest.fixture(scope="module")
-def los_csvs(tmp_path_factory):
-    """The benchmark's los_grid CSV (100k rows) at seeds 1 and 7, by seed."""
-    los_inputs = load_perfbench_inputs()
-    out = tmp_path_factory.mktemp("los")
-    return {seed: los_inputs.write_los(seed, out / str(seed)).config.parent / "los.csv" for seed in (1, 7)}
 
 
 def long_line(width=200_000):
