@@ -38,16 +38,17 @@ kernels that :func:`~fedgtv.model_core.mse_gradient`,
 public round builds the same context for one cell and takes one step.
 Nothing is cached between calls.
 
-Trace points are scored in batches: :func:`train_cells` buffers the weight
-stacks of ``P = max(1, sum_i m_i // (C * max_i m_i))`` trace points (m_i the
-training rows of node i, C the cells) and scores each batch with one stacked
-residual per node over its P * C weight rows, bitwise what scoring each point
-alone gives, in a residual no larger than all training labels together.
+Trace points are scored in batches, one stacked residual per node over a
+batch's weight rows, no larger than all training labels together and
+bitwise what scoring each point alone gives. A :func:`train_cells` call of
+several cells whose trace points fit in the training features' size scores
+each cell's trace only on first read, so a grid never scores a losing cell's.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -131,19 +132,26 @@ class OptimizerConfig:
             raise ParameterError(f"trace_every must be >= 1, got {self.trace_every}")
 
 
-@dataclass
 class TrainingTrace:
     """Objective values logged during training.
 
     For fedsgd ``objective`` holds the full GTV objective (full-batch train
     losses plus the weighted edge penalty); for the averaging variants it is
     the mean full-batch train loss. ``node_losses[k]`` holds per-node train
-    losses at round ``rounds[k]``.
+    losses at round ``rounds[k]``. ``scores`` is ``(objective, node_losses)``,
+    or a function that gives it, called when either is first read.
     """
 
-    rounds: list[int] = field(default_factory=list)
-    objective: list[float] = field(default_factory=list)
-    node_losses: list[np.ndarray] = field(default_factory=list)
+    def __init__(self, rounds: list[int], scores):
+        self.rounds, self._scores = rounds, scores
+
+    def _scored(self) -> tuple[list[float], list[np.ndarray]]:
+        if callable(self._scores):
+            self._scores = self._scores()
+        return self._scores
+
+    objective = property(lambda self: self._scored()[0])
+    node_losses = property(lambda self: self._scored()[1])
 
 
 def _as_stack(weights, datasets, graph: EmpiricalGraph | None = None) -> np.ndarray:
@@ -320,15 +328,17 @@ def train_cells(
 
     The cells must differ only in eta and alpha. The per-run context and the
     edge lists of the trace's penalty are built once, before the first
-    round, so each round only steps the weights. Trace points are copied
-    into a preallocated buffer and scored in batches of
-    ``P = max(1, sum_i m_i // (C * max_i m_i))`` points (m_i the training
-    rows of node i), when the buffer is full and at the final round, with
-    one stacked residual per node over the batch's P * C weight rows. So no
-    residual holds more values than all training labels together, and each
-    value is bitwise that of scoring the point alone. An input check that
-    fails while the context is built is re-raised as round 0's, e.g.
-    ``round 0: node 1: empty training split``.
+    round, so each round only steps the weights. Trace points are scored in
+    batches of ``P = max(1, sum_i m_i // (C * max_i m_i))`` points (m_i the
+    training rows of node i), one stacked residual per node over a batch's
+    P * C weight rows: no residual holds more values than all training
+    labels, and each value is bitwise that of scoring the point alone. With
+    C > 1, while the trace points' weight stacks (points * C * n * d floats)
+    fit in the training features (sum_i m_i * d), each trace keeps its own
+    and scores them, by the one-cell P, when first read, under this call's
+    ``np.geterr()`` state; otherwise each batch is scored once trained. An
+    input check that fails while the context is built is re-raised as round
+    0's, e.g. ``round 0: node 1: empty training split``.
     """
     if len(datasets) == 0:
         raise DegenerateInputError("no datasets to train on")
@@ -348,33 +358,42 @@ def train_cells(
         run = _Run(config.algorithm, W, datasets, configs, laplacians)
     except FedGTVError as exc:
         raise type(exc)(f"round 0: {exc}") from exc
-    traces = [TrainingTrace() for _ in configs]
     rows = [len(y) for _, y in run.train]
-    points = np.empty((max(1, sum(rows) // (len(configs) * max(rows))),) + W.shape)
-    rounds = []
+    batch, total = sum(rows) // max(rows), -(-config.max_iterations // config.trace_every)  # one-cell P; trace points
+    deferred = len(configs) > 1 and total * W.size <= sum(rows) * W.shape[2]
+    # all trace points if deferred, else one batch of them, scored once full or at the final round
+    points = np.empty((total if deferred else max(1, batch // len(configs)),) + W.shape)
+    rounds, scores, alphas = [], [([], []) for _ in configs], [c.alpha for c in configs]
     for k in range(config.max_iterations):
         W = run.step(W, k)
         if (k + 1) % config.trace_every == 0 or k + 1 == config.max_iterations:
-            points[len(rounds)] = W
+            kept = len(rounds) % len(points)
+            points[kept] = W
             rounds.append(k + 1)
-            if len(rounds) == len(points) or k + 1 == config.max_iterations:
-                _log_points(traces, rounds, points[: len(rounds)], run.train, edges, configs)
-                rounds.clear()
-    return W, traces
+            if not deferred and (kept + 1 == len(points) or k + 1 == config.max_iterations):
+                _score(scores, points[: kept + 1], run.train, edges, alphas, len(points))
+    if deferred:
+        cell = lambda c: (points[:, c : c + 1], run.train, edges and edges[c : c + 1], alphas[c : c + 1], max(1, batch))
+        scores = [functools.partial(_score_later, np.geterr(), *cell(c)) for c in range(len(configs))]
+    return W, [TrainingTrace(rounds.copy(), s) for s in scores]
 
 
-def _log_points(traces, rounds, points, parts, edges, configs) -> None:
-    """Score the (P, C, n, d) weight stacks ``points`` of trace rounds ``rounds`` and append them to ``traces``.
+def _score(scores, points, parts, edges, alphas, batch) -> list[tuple[list, list]]:
+    """Append each cell's objective and node losses at the (K, C, n, d) ``points``, ``batch`` per :func:`_losses` call."""
+    for start in range(0, len(points), batch):
+        chunk = points[start : start + batch]
+        losses = _losses(parts, chunk.reshape((-1,) + chunk.shape[2:])).reshape(chunk.shape[:3])
+        for W, point_losses in zip(chunk, losses):
+            for c, (objective, node_losses) in enumerate(scores):
+                objective.append(_gtv(point_losses[c], W[c], edges[c], alphas[c]) if edges else float(point_losses[c].mean()))
+                node_losses.append(point_losses[c])
+    return scores
 
-    One :func:`_losses` call over all P * C stacks: one stacked residual per node.
-    """
-    losses = _losses(parts, points.reshape((-1,) + points.shape[2:])).reshape(points.shape[:3])
-    for r, W, point_losses in zip(rounds, points, losses):
-        for c, trace in enumerate(traces):
-            value = _gtv(point_losses[c], W[c], edges[c], configs[c].alpha) if edges else float(point_losses[c].mean())
-            trace.rounds.append(r)
-            trace.objective.append(value)
-            trace.node_losses.append(point_losses[c])
+
+def _score_later(state: dict, *args) -> tuple[list, list]:
+    """One cell's deferred :func:`_score`, under the ``np.geterr()`` ``state`` it trained in."""
+    with np.errstate(**state):
+        return _score([([], [])], *args)[0]
 
 
 def train(

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 from conftest import load_perfbench_inputs
 
-from fedgtv import experiment_harness
+from fedgtv import experiment_harness, fed_optimizers
 from fedgtv.cli import main
 from fedgtv.data_pipeline import CsvSchema, LocalDataset, SyntheticSpec, generate_synthetic
 from fedgtv.errors import (
@@ -354,6 +354,40 @@ class TestRunGridSearch:
         assert connected == {2, 3}
         assert len(runs) == 2 * 2 * 2 + 2 + 2
         assert_cells_match_solo(datasets, result.cells, result.best, runs)
+
+    def test_losing_cells_scored_only_on_val(self, monkeypatch):
+        # the search reads only its winners' traces, so a losing cell's trace
+        # is never scored: the rows scored on training splits, once every
+        # winner's trace is read, are each winner's trace points times n
+        datasets = generate_synthetic(
+            SyntheticSpec(
+                node_count=5,
+                rows_per_node=(200,) * 5,
+                feature_dim=3,
+                cluster_assignment=(0, 0, 1, 1, 1),
+                cluster_weights=((2.0, -1.0, 0.5), (-2.0, 1.0, -0.5)),
+                noise_std=0.5,
+                seed=3,
+            )
+        )
+        train_features = {id(ds.train[0]) for ds in datasets}
+        scored = []
+        real = fed_optimizers._mse_rows
+
+        def counting(X, y, W):
+            if id(X) in train_features:
+                scored.append(len(W))
+            return real(X, y, W)
+
+        monkeypatch.setattr(fed_optimizers, "_mse_rows", counting)
+        grid = GridSpec(alphas=(0.1, 1.0), etas=(0.05, 0.01, 0.02), degrees=(2,))
+        result = run_grid_search(datasets, grid, max_iterations=30, trace_every=10)
+        cells = [sum(c.algorithm == name and c.connected for c in result.cells) for name in result.best]
+        assert cells == [6, 3, 3]
+        assert scored == []
+        for _, trace, _ in result.trained.values():
+            assert len(trace.rounds) == 3 and len(trace.objective) == 3
+        assert sum(scored) == len(result.trained) * 3 * 5
 
     def test_cell_accounting_and_disconnected_recording(self):
         datasets = cluster_datasets()

@@ -478,7 +478,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("algorithm", ["fedsgd", "fedavg1", "fedavg2"])
     def test_every_trace_point_recomputable_across_batches(self, algorithm):
-        # trace points are scored P at a time; with 1 < P < 7 and 7 points the
+        # trace points are scored P at a time (a read trace by the one-cell
+        # rule); with 1 < P < 7 and 7 points the
         # batches end at points P, 2P, ... and at the final round, so points on
         # both sides of a batch boundary and a short last batch are all checked
         # against the public round functions stepped from zero
@@ -494,7 +495,8 @@ class TestTrain:
         datasets = generate_synthetic(spec)
         rows = [ds.train[0].shape[0] for ds in datasets]
         cells = ((0.02, 0.1), (0.05, 0.3))
-        P = sum(rows) // (len(cells) * max(rows))
+        assert 7 * len(cells) * 6 * 3 <= sum(rows) * 3  # the two cells' traces are scored when read, one cell at a time
+        P = sum(rows) // max(rows)
         assert 1 < P < 7
         path = [(i, i + 1) for i in range(5)]
         graphs = [graph_from_edges(6, path + [(5, 0)]), graph_from_edges(6, path)]
@@ -550,6 +552,61 @@ class TestTrain:
         assert len(trace.rounds) == 40 and P > 1
         assert 0 < len(calls) <= 12 * math.ceil(40 / P) < 12 * 40
         assert sum(calls) == 12 * 40
+
+    @pytest.mark.parametrize("algorithm", ["fedsgd", "fedavg1", "fedavg2"])
+    @pytest.mark.parametrize(
+        "cells, trace_every, deferred", [(4, 1, False), (4, 10, True), (1, 10, False)], ids=["eager", "deferred", "one-cell"]
+    )
+    def test_multi_cell_traces_scored_when_read_while_they_fit(self, monkeypatch, algorithm, cells, trace_every, deferred):
+        # several cells keep their trace points' weight stacks, and each trace
+        # scores only when read, by the one-cell P, while points * C * n * d
+        # fits in the training features (sum_i m_i * d); past that, and always
+        # for one cell, every point is scored while the cells train, by the
+        # C-cell P. Either way a trace is its solo run's.
+        calls = []
+
+        def counting(X, y, W):
+            calls.append(len(W))
+            return _mse_rows(X, y, W)
+
+        monkeypatch.setattr(fedgtv.fed_optimizers, "_mse_rows", counting)
+        datasets = synthetic_datasets()
+        graphs = [graph_from_edges(3, [(0, 1), (1, 2)]), graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])] * 2
+        configs = [
+            OptimizerConfig(algorithm, eta, alpha, batch_size=8, max_iterations=40, trace_every=trace_every)
+            for eta, alpha in ((0.05, 0.1), (0.01, 0.3), (0.02, 1.0), (0.03, 0.0))[:cells]
+        ]
+        points = math.ceil(40 / trace_every)
+        rows = [ds.train[0].shape[0] for ds in datasets]
+        assert (points * cells * 3 * 3 <= sum(rows) * 3) == (deferred or cells == 1)
+        P = sum(rows) // max(rows)
+        assert 1 < P < 4  # a read trace of 4 points takes two batches
+        _, traces = train_cells(datasets, graphs[:cells], configs)
+        # (rows scored, stacked residuals) on the training splits
+        eager = (cells * points * 3, 3 * math.ceil(points / max(1, P // cells)))
+        assert (sum(calls), len(calls)) == ((0, 0) if deferred else eager)
+        for graph, config, trace in zip(graphs, configs, traces):
+            calls.clear()
+            objective, node_losses = trace.objective, trace.node_losses
+            assert (sum(calls), len(calls)) == ((points * 3, 3 * math.ceil(points / P)) if deferred else (0, 0))
+            assert trace.objective is objective  # scored once
+            _, solo = train(datasets, graph, config)
+            assert trace.rounds == solo.rounds and objective == solo.objective
+            assert np.array_equal(node_losses, solo.node_losses)
+
+    def test_deferred_trace_scores_under_the_callers_error_state(self):
+        # a diverged cell's trace, read where no errstate is active, warns no
+        # more than scoring it while training, under the caller's errstate,
+        # does; the suite turns every RuntimeWarning into an error
+        datasets = synthetic_datasets()
+        configs = [OptimizerConfig("fedavg1", eta, max_iterations=40, trace_every=10) for eta in (0.05, 1e9)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, traces = train_cells(datasets, [None, None], configs)
+            _, eager = train(datasets, None, configs[1])
+        assert np.isfinite(traces[0].objective).all()
+        assert not np.isfinite(traces[1].objective[-1])
+        assert np.array_equal(traces[1].objective, eager.objective, equal_nan=True)
+        assert np.array_equal(traces[1].node_losses, eager.node_losses, equal_nan=True)
 
     def test_full_batch_tracks_row_form_on_public_layout(self, public_design):
         # the null direction of the rank-18 layout (rcount slots minus intercept)
