@@ -478,11 +478,12 @@ class TestTrain:
 
     @pytest.mark.parametrize("algorithm", ["fedsgd", "fedavg1", "fedavg2"])
     def test_every_trace_point_recomputable_across_batches(self, algorithm):
-        # trace points are scored P at a time (a read trace by the one-cell
-        # rule); with 1 < P < 7 and 7 points the
-        # batches end at points P, 2P, ... and at the final round, so points on
-        # both sides of a batch boundary and a short last batch are all checked
-        # against the public round functions stepped from zero
+        # the two cells' 7 trace points fit in the training features, so each
+        # trace is scored when read, P points at a time by the one-cell rule;
+        # with 1 < P < 7 the batches end at points P, 2P, ... and at the final
+        # round, so points on both sides of a batch boundary and a short last
+        # batch are all checked against the public round functions stepped
+        # from zero
         spec = SyntheticSpec(
             node_count=6,
             rows_per_node=(30, 34, 38, 42, 46, 50),
@@ -495,7 +496,7 @@ class TestTrain:
         datasets = generate_synthetic(spec)
         rows = [ds.train[0].shape[0] for ds in datasets]
         cells = ((0.02, 0.1), (0.05, 0.3))
-        assert 7 * len(cells) * 6 * 3 <= sum(rows) * 3  # the two cells' traces are scored when read, one cell at a time
+        assert 7 * len(cells) * 6 * 3 <= sum(rows) * 3
         P = sum(rows) // max(rows)
         assert 1 < P < 7
         path = [(i, i + 1) for i in range(5)]
