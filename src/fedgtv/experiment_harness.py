@@ -18,7 +18,7 @@ import math
 import platform
 import shutil
 import tempfile
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence, get_args, get_type_hints
 
@@ -222,10 +222,12 @@ def evaluate(
 
 @dataclass(frozen=True)
 class GridCell:
-    """One grid candidate: hyperparameters plus its validation score.
+    """One grid cell: hyperparameters, validation score, and what it trained.
 
     ``alpha``/``degree`` are None for the averaging variants. ``val_mse`` is
-    None when the cell was skipped because its graph is disconnected.
+    None when the cell was skipped because its graph is disconnected. The
+    ``weights`` and ``trace`` it trained (None until then) and its ``graph``
+    (None for the averaging variants) take no part in equality or ``repr``.
     """
 
     algorithm: str
@@ -234,21 +236,22 @@ class GridCell:
     degree: int | None = None
     connected: bool = True
     val_mse: float | None = None
+    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
+    trace: TrainingTrace | None = field(default=None, compare=False, repr=False)
+    graph: EmpiricalGraph | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class GridSearchResult:
-    """All recorded cells, the per-algorithm winners, and what each winner trained.
+    """All recorded cells, and the per-algorithm winners among them.
 
-    ``trained[name]`` is the selected cell's ``(W, trace, graph)``: the final
-    weight stack and training trace, and the graph it trained on (None for
-    the averaging variants). Training is deterministic, so callers report
-    the winners from these without retraining them.
+    Each ``best[name]`` is one of ``cells``. Every trained cell keeps its
+    weights; only the winners keep their trace. Training is deterministic,
+    so callers report the winners from these without retraining them.
     """
 
     cells: list[GridCell]
     best: dict[str, GridCell]
-    trained: dict[str, tuple[np.ndarray, TrainingTrace, EmpiricalGraph | None]]
 
 
 def select_best(cells: Sequence[GridCell]) -> GridCell:
@@ -290,8 +293,8 @@ def run_grid_search(
     feasible cells train together in one :func:`train_cells` call, fresh
     from zeros (no warm starts): every fedsgd (node, round) mini-batch is
     drawn once and shared by all cells, and each cell's result is bitwise
-    identical to training it alone. Each algorithm's winner keeps its
-    weights, trace and graph in ``trained``. Cells are recorded in
+    identical to training it alone. Each trained cell keeps its weights,
+    and only each algorithm's winner its trace. Cells are recorded in
     degree-major, then alpha, then eta order; selection does not depend on
     that order. Raises NoFeasibleConfigError when an algorithm has no
     candidate with a finite validation MSE.
@@ -301,11 +304,9 @@ def run_grid_search(
     grid = GridSpec() if grid is None else grid
     cells: list[GridCell] = []
     best: dict[str, GridCell] = {}
-    trained: dict[str, tuple] = {}
     settings = dict(batch_size=batch_size, max_iterations=max_iterations, seed=seed, trace_every=trace_every)
     disc = None
     for algorithm in grid.algorithms:
-        # (GridCell, graph) per cell, in record order
         if algorithm is Algorithm.FEDSGD:
             n = len(datasets)
             bad = [d for d in grid.degrees if not 1 <= d <= n - 1]
@@ -318,35 +319,32 @@ def run_grid_search(
                 graph = build_knn_graph(disc, d)
                 connected = is_connected(graph)
                 candidates += [
-                    (GridCell(algorithm.value, eta, alpha, d, connected), graph)
+                    GridCell(algorithm.value, eta, alpha, d, connected, graph=graph)
                     for alpha in grid.alphas for eta in grid.etas
                 ]
         else:
-            candidates = [(GridCell(algorithm.value, eta), None) for eta in grid.etas]
-        fits = iter(_train_step(datasets, [c for c in candidates if c[0].connected], settings))
-        records = [next(fits) if cell.connected else (cell,) for cell, _ in candidates]
-        algo_cells = [record[0] for record in records]
-        cells += algo_cells
+            candidates = [GridCell(algorithm.value, eta) for eta in grid.etas]
+        fits = iter(_train_step(datasets, [c for c in candidates if c.connected], settings))
+        algo_cells = [next(fits) if c.connected else c for c in candidates]
         winner = best[algorithm.value] = select_best(algo_cells)
-        trained[algorithm.value] = next(record[1:] for record in records if record[0] is winner)
-    return GridSearchResult(cells=cells, best=best, trained=trained)
+        cells += [c if c is winner else replace(c, trace=None) for c in algo_cells]  # a grid reads only its winners' traces
+    return GridSearchResult(cells=cells, best=best)
 
 
-def _train_step(datasets: Sequence[LocalDataset], candidates: Sequence[tuple], settings: Mapping) -> list[tuple]:
-    """Train one algorithm's ``(GridCell, graph)`` candidates in one :func:`train_cells` call; score each on val.
+def _train_step(datasets: Sequence[LocalDataset], cells: Sequence[GridCell], settings: Mapping) -> list[GridCell]:
+    """Train one algorithm's cells, each on its ``graph``, in one :func:`train_cells` call; score each on val.
 
-    A cell's eta and alpha (0 for None) and the shared ``settings`` make its OptimizerConfig. Returns one
-    ``(cell with its val_mse, W, trace, graph)`` per candidate; a diverging cell scores non-finite, with no warning.
+    A cell's eta and alpha (0 for None) and the shared ``settings`` make its OptimizerConfig. Returns the cells
+    with their ``val_mse``, ``weights`` and ``trace``; a diverging cell scores non-finite, with no warning.
     """
-    if not candidates:
+    if not cells:
         return []
-    cells, graphs = zip(*candidates)
     configs = [OptimizerConfig(cell.algorithm, cell.eta, cell.alpha or 0.0, **settings) for cell in cells]
     with np.errstate(over="ignore", invalid="ignore"):
-        W, traces = train_cells(datasets, graphs, configs)
+        W, traces = train_cells(datasets, [cell.graph for cell in cells], configs)
         val = _losses(_split_parts(datasets, "val", W), W)
-        cells = [replace(cell, val_mse=float(np.mean(row))) for cell, row in zip(cells, val)]
-    return list(zip(cells, W, traces, graphs))
+        fits = zip(cells, val, W, traces)
+        return [replace(cell, val_mse=float(np.mean(row)), weights=w, trace=trace) for cell, row, w, trace in fits]
 
 
 @dataclass
@@ -662,7 +660,7 @@ def run_experiment(
         cfg.algorithms = _parse("optimizer", "algorithm", algorithm, "--algorithm")
         cfg.grid = replace(cfg.grid, algorithms=cfg.algorithms)
     out = Path(out_dir)
-    found = next(p for p in (out, *out.parents) if p.exists())  # out itself, or the ancestor mkdir would create it in
+    found = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())  # out, or the ancestor mkdir would create it in
     if not found.is_dir():
         raise ConfigError(f"--out {out}: {found} is not a directory")
 
@@ -684,7 +682,7 @@ def run_experiment(
         graph = build_knn_graph(discrepancy_matrix(pretrain_local_weights(datasets)), cfg.degree)
 
     artifacts: dict[str, str] = {}
-    fits = []  # one (GridCell, W, trace, graph) record per trained algorithm
+    fits: list[GridCell] = []  # one trained cell per algorithm
     settings = {key: getattr(cfg, key) for key in ("batch_size", "max_iterations", "seed", "trace_every")}
     if mode == "run":
         manifest["optimizer"] = {
@@ -696,26 +694,27 @@ def run_experiment(
         for algo in cfg.algorithms:
             # the one difference from a grid cell: fedsgd trains on the configured graph even when it is disconnected
             fedsgd = algo is Algorithm.FEDSGD
-            cell = GridCell(algo.value, cfg.eta, cfg.alpha, cfg.degree) if fedsgd else GridCell(algo.value, cfg.eta)
-            fits += _train_step(datasets, [(cell, graph if fedsgd else None)], settings)
-            _check_finite(algo.value, fits[-1][2], datasets)
+            cell = GridCell(algo.value, cfg.eta, cfg.alpha, cfg.degree, graph=graph) if fedsgd else GridCell(algo.value, cfg.eta)
+            fits += _train_step(datasets, [cell], settings)
+            _check_finite(algo.value, fits[-1].trace, datasets)
     elif mode == "grid":
         result = run_grid_search(datasets, cfg.grid, **settings)
         artifacts["grid.csv"] = _render_grid_csv(result.cells)
-        manifest["selected"] = {name: asdict(cell) for name, cell in sorted(result.best.items())}
-        fits = [(result.best[algo.value], *result.trained[algo.value]) for algo in cfg.grid.algorithms]
-        graph = result.trained.get(Algorithm.FEDSGD.value, (None,) * 3)[2]
+        scored = [f.name for f in fields(GridCell) if f.compare]  # not the arrays, which JSON cannot hold
+        manifest["selected"] = {name: {key: getattr(cell, key) for key in scored} for name, cell in sorted(result.best.items())}
+        fits = [result.best[algo.value] for algo in cfg.grid.algorithms]
+        graph = getattr(result.best.get(Algorithm.FEDSGD.value), "graph", None)
     if graph is not None:
         manifest["graph"] = graph_summary(graph)
 
     report: MetricsReport | None = None
     if mode != "graph":
         report = MetricsReport(
-            [evaluate(W, datasets, cell.algorithm, _hyperparameters(cell)).blocks[0] for cell, W, _, _ in fits]
+            [evaluate(cell.weights, datasets, cell.algorithm, _hyperparameters(cell)).blocks[0] for cell in fits]
         )
         artifacts["metrics.txt"] = report.to_text()
         artifacts["metrics.json"] = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-        traces = {cell.algorithm: trace for cell, _, trace, _ in fits}
+        traces = {cell.algorithm: cell.trace for cell in fits}
         artifacts["trace.csv"] = _render_trace_csv(traces, [ds.node_id for ds in datasets])
 
     out.parent.mkdir(parents=True, exist_ok=True)

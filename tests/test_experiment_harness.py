@@ -312,19 +312,26 @@ def record_stacked_cells(monkeypatch):
     return runs
 
 
+def assert_same_trace(trace, solo):
+    assert trace.rounds == solo.rounds
+    assert np.array_equal(trace.objective, solo.objective, equal_nan=True)
+    assert len(trace.node_losses) == len(solo.node_losses)
+    for a, b in zip(trace.node_losses, solo.node_losses):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
 def assert_cells_match_solo(datasets, cells, best, runs):
-    """Every stacked cell is bitwise its solo train(); cells and winners are what solo runs give."""
-    solo_val = {}
+    """Every stacked cell is bitwise its solo train(); cells and winners are what solo runs give.
+
+    Returns each trained cell's solo ``(W, trace)``, keyed by (algorithm, eta, alpha, degree).
+    """
+    solo_val, solo_fits = {}, {}
     for graph, config, W, trace in runs:
         with np.errstate(over="ignore", invalid="ignore"):  # the solo reference of a diverging cell
             W_solo, solo = train(datasets, graph, config)
             solo_val_mse = evaluate(W_solo, datasets).blocks[0].mean_val
         assert np.array_equal(W, W_solo, equal_nan=True)
-        assert trace.rounds == solo.rounds
-        assert np.array_equal(trace.objective, solo.objective, equal_nan=True)
-        assert len(trace.node_losses) == len(solo.node_losses)
-        for a, b in zip(trace.node_losses, solo.node_losses):
-            assert np.array_equal(a, b, equal_nan=True)
+        assert_same_trace(trace, solo)
         fedsgd = config.algorithm is Algorithm.FEDSGD
         key = (
             config.algorithm.value,
@@ -333,6 +340,7 @@ def assert_cells_match_solo(datasets, cells, best, runs):
             graph.min_degree if fedsgd else None,
         )
         solo_val[key] = solo_val_mse
+        solo_fits[key] = W_solo, solo
     expected = [
         replace(c, val_mse=solo_val[c.algorithm, c.eta, c.alpha, c.degree]) if c.connected else c
         for c in cells
@@ -341,6 +349,7 @@ def assert_cells_match_solo(datasets, cells, best, runs):
     assert repr(cells) == repr(expected)  # repr keeps NaN cells comparable
     for name in best:
         assert best[name] == select_best([c for c in expected if c.algorithm == name])
+    return solo_fits
 
 
 class TestRunGridSearch:
@@ -353,7 +362,20 @@ class TestRunGridSearch:
         connected = {c.degree for c in result.cells if c.algorithm == "fedsgd" and c.connected}
         assert connected == {2, 3}
         assert len(runs) == 2 * 2 * 2 + 2 + 2
-        assert_cells_match_solo(datasets, result.cells, result.best, runs)
+        solo = assert_cells_match_solo(datasets, result.cells, result.best, runs)
+        # each cell is one record: a winner keeps what it trained, a loser its weights, a skipped cell nothing
+        for cell in result.cells:
+            if not cell.connected:
+                assert cell.weights is None and cell.trace is None and cell.val_mse is None
+                continue
+            W_solo, trace_solo = solo[cell.algorithm, cell.eta, cell.alpha, cell.degree]
+            assert np.array_equal(cell.weights, W_solo)
+            if cell is result.best[cell.algorithm]:
+                assert_same_trace(cell.trace, trace_solo)
+            else:
+                assert cell.trace is None
+        for winner in result.best.values():
+            assert any(winner is cell for cell in result.cells)
 
     def test_losing_cells_scored_only_on_val(self, monkeypatch):
         # the search reads only its winners' traces, so a losing cell's trace
@@ -385,9 +407,10 @@ class TestRunGridSearch:
         cells = [sum(c.algorithm == name and c.connected for c in result.cells) for name in result.best]
         assert cells == [6, 3, 3]
         assert scored == []
-        for _, trace, _ in result.trained.values():
-            assert len(trace.rounds) == 3 and len(trace.objective) == 3
-        assert sum(scored) == len(result.trained) * 3 * 5
+        for cell in result.cells:
+            if cell.trace is not None:
+                assert len(cell.trace.rounds) == 3 and len(cell.trace.objective) == 3
+        assert sum(scored) == len(result.best) * 3 * 5
 
     def test_cell_accounting_and_disconnected_recording(self):
         datasets = cluster_datasets()
@@ -402,16 +425,14 @@ class TestRunGridSearch:
         for name in ("fedavg1", "fedavg2"):
             assert sum(c.algorithm == name for c in result.cells) == 2
         assert set(result.best) == {"fedsgd", "fedavg1", "fedavg2"}
-        assert set(result.trained) == set(result.best)
         for name, cell in result.best.items():
-            W, trace, graph = result.trained[name]
-            assert W.shape == (4, 3)
-            assert trace.rounds[-1] == 30
-            assert evaluate(W, datasets).blocks[0].mean_val == cell.val_mse
+            assert cell.weights.shape == (4, 3)
+            assert cell.trace.rounds[-1] == 30
+            assert evaluate(cell.weights, datasets).blocks[0].mean_val == cell.val_mse
             if name == "fedsgd":
-                assert graph.min_degree == cell.degree
+                assert cell.graph.min_degree == cell.degree
             else:
-                assert graph is None
+                assert cell.graph is None
 
     def test_best_matches_manual_argmin(self):
         datasets = cluster_datasets()
@@ -450,8 +471,7 @@ class TestRunGridSearch:
         grid = GridSpec(etas=(0.05, 0.01), algorithms=("fedavg1",))
         result = run_grid_search(datasets, grid, max_iterations=10)
         assert len(result.cells) == 2
-        _, _, graph = result.trained["fedavg1"]
-        assert graph is None
+        assert all(cell.graph is None for cell in result.cells)
 
 
 class TestLoadExperimentConfig:
@@ -1431,19 +1451,29 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "metrics.json").is_file()
 
-    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
-    def test_out_not_a_directory_exits_2(self, tmp_path, under):
+    @pytest.mark.parametrize(
+        "dangling, under",
+        [(False, False), (False, True), (True, False), (True, True)],
+        ids=["file", "under_file", "dangling_symlink", "under_dangling_symlink"],
+    )
+    def test_out_not_a_directory_exits_2(self, tmp_path, dangling, under):
         cfg = synthetic_config(tmp_path)
         (tmp_path / "spec.json").unlink()  # checked before the data: a config error, not a data error
         blocker = tmp_path / "taken"
-        blocker.write_text("keep\n")
+        if dangling:
+            blocker.symlink_to(tmp_path / "missing")
+        else:
+            blocker.write_text("keep\n")
         out = blocker / "sub" if under else blocker
         before = sorted(tmp_path.iterdir())
         result = self.run_cli("run", "--config", str(cfg), "--out", str(out))
         assert result.exit_code == 2, result.output
         assert result.stderr == f"config error: --out {out}: {blocker} is not a directory\n"
         assert sorted(tmp_path.iterdir()) == before  # no staging directory left
-        assert blocker.read_text() == "keep\n"
+        if dangling:
+            assert os.readlink(blocker) == str(tmp_path / "missing") and not blocker.exists()
+        else:
+            assert blocker.read_text() == "keep\n"
 
     def test_seed_override_changes_splits(self, tmp_path):
         cfg = synthetic_config(tmp_path)
