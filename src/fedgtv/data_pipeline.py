@@ -316,20 +316,16 @@ def _text(fd: int, start: int, stop: int) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BufferedReader(_FileRange(fd, start, stop)), encoding="utf-8", newline="")
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _split_point(fd: int, size: int) -> int | None:
     """The offset just past the first ``\\n`` at or after :data:`_SPLIT_SHARE` of the file, where a
     helper process starts parsing; None for one pass.
 
-    One pass is taken without ``os.fork`` or a second usable CPU, for a file
-    under :data:`_SPLIT_BYTES`, without a ``\\n`` past that share (lone
-    ``\\r`` line endings), or with a quote before the split, because a quoted
-    field could span it. The scans read :data:`_PIECE_BYTES` at a time.
+    One pass is taken for a file under :data:`_SPLIT_BYTES`, without a ``\\n``
+    past that share (lone ``\\r`` line endings), or with a quote before the
+    split, because a quoted field could span it. The scans read
+    :data:`_PIECE_BYTES` at a time.
     """
-    if not hasattr(os, "fork") or _usable_cpus() < 2 or size < _SPLIT_BYTES:
+    if size < _SPLIT_BYTES:
         return None
     split = int(size * _SPLIT_SHARE)
     while (piece := os.pread(fd, _PIECE_BYTES, split)) and b"\n" not in piece:
@@ -350,14 +346,48 @@ def _load(path: Path, fd: int, schema: CsvSchema, stop: int) -> tuple[dict[str, 
 
 
 def _load_split(path: Path, fd: int, schema: CsvSchema, split: int, size: int) -> tuple[dict[str, array], int] | None:
-    """:func:`_load` of the whole file, with a forked helper parsing the bytes ``[split, size)``.
+    """:func:`_load` of the whole file, with a :func:`_forked` helper parsing the bytes ``[split, size)``
+    while this process parses ``[0, split)``, then appends the helper's rows to its blocks. Returns
+    None if either part fails to parse, so that the one pass raises its error: which error it meets
+    first depends on how far it has read ahead."""
 
-    This process parses ``[0, split)`` meanwhile, then appends the helper's
-    rows to its blocks. Returns None if either part fails to parse, so that
-    the one pass raises its error: which error it meets first depends on how
-    far it has read ahead. The helper is reaped on every path, and killed
-    first unless it has sent its part.
+    def first_part(pipe) -> tuple[dict[str, array], int] | None:
+        try:
+            return _receive(pipe, *_load(path, fd, schema, split))
+        except (SchemaError, UnicodeDecodeError):
+            return None
+
+    forked = _forked(lambda pipe: _parse_helper_part(path, fd, schema, split, size, pipe), first_part)
+    return forked[0] if forked and not forked[1] else None
+
+
+def _parse_helper_part(path: Path, fd: int, schema: CsvSchema, split: int, size: int, pipe):
+    """The forked helper: parses the bytes ``[split, size)`` and sends its dropped count, its block
+    sizes and its blocks' raw bytes to ``pipe``; raises, sending nothing, if they fail to parse."""
+    with _text(fd, 0, split) as fh:
+        picks, _ = _header(path, fh, schema)
+    blocks: dict[str, array] = {}
+    with _text(fd, split, size) as fh:
+        dropped = _add_lines(path, fh, picks, blocks, 0)
+    pickle.dump((dropped, [(facid, len(block)) for facid, block in blocks.items()]), pipe)
+    for block in blocks.values():
+        pipe.write(block)
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _forked(child, parent):
+    """``parent(read)`` run while a forked helper runs ``child(write)``, the two binary ends of a pipe.
+
+    Returns ``parent``'s result and the helper's exit status; None, running neither, without
+    ``os.fork`` or a second usable CPU, or if the fork raises OSError. The helper ends in
+    ``os._exit`` (0 once ``child`` returns), so no exit handler runs and no inherited buffer is
+    flushed twice. It is reaped on every path, and killed first unless ``parent`` returned non-None.
     """
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        return None
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -366,58 +396,40 @@ def _load_split(path: Path, fd: int, schema: CsvSchema, split: int, size: int) -
         os.close(write)
         return None
     if pid == 0:
-        _parse_helper_part(path, fd, schema, split, size, read, write)
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                child(pipe)
+            code = 0
+        finally:
+            os._exit(code)
     os.close(write)
-    sent = False
+    result = None
     try:
         with open(read, "rb") as pipe:
-            try:
-                blocks, dropped = _load(path, fd, schema, split)
-            except (SchemaError, UnicodeDecodeError):
-                return None
-            more = _receive(pipe, blocks)
-        sent = True
+            result = parent(pipe)
     finally:
-        if not sent:
-            import signal  # only a load that failed here needs it
+        if result is None:
+            import signal  # only a helper this process stopped early needs it
 
             os.kill(pid, signal.SIGKILL)
         status = os.waitpid(pid, 0)[1]
-    return None if more is None or status else (blocks, dropped + more)
+    return result, status
 
 
-def _parse_helper_part(path: Path, fd: int, schema: CsvSchema, split: int, size: int, read: int, write: int):
-    """The forked helper: parses the bytes ``[split, size)`` and sends its dropped count, its block
-    sizes and its blocks' raw bytes to ``write``; sends nothing if they fail to parse. Never returns."""
-    code = 1
+def _receive(pipe, blocks: dict[str, array], dropped: int) -> tuple[dict[str, array], int] | None:
+    """Append the helper's rows to ``blocks``, :data:`_PIECE_BYTES` at a time; returns them with
+    ``dropped`` plus the helper's dropped count, None if it ended before sending its whole part."""
     try:
-        os.close(read)
-        with _text(fd, 0, split) as fh:
-            picks, _ = _header(path, fh, schema)
-        blocks: dict[str, array] = {}
-        with _text(fd, split, size) as fh:
-            dropped = _add_lines(path, fh, picks, blocks, 0)
-        with open(write, "wb") as pipe:
-            pickle.dump((dropped, [(facid, len(block)) for facid, block in blocks.items()]), pipe)
-            for block in blocks.values():
-                pipe.write(block)
-        code = 0
-    finally:  # no exit handler runs and no inherited buffer is flushed a second time
-        os._exit(code)
-
-
-def _receive(pipe, blocks: dict[str, array]) -> int | None:
-    """Append the helper's rows to ``blocks``, :data:`_PIECE_BYTES` at a time; returns its dropped
-    count, None if it ended before sending its whole part."""
-    try:
-        dropped, sizes = pickle.load(pipe)
+        more, sizes = pickle.load(pipe)
         for facid, size in sizes:
             block = blocks.setdefault(facid, array("d"))
             for start in range(0, size, _PIECE_BYTES // 8):
                 block.fromfile(pipe, min(_PIECE_BYTES // 8, size - start))
     except (EOFError, pickle.UnpicklingError):
         return None
-    return dropped
+    return blocks, dropped + more
 
 
 def _header(path: Path, fh, schema: CsvSchema) -> tuple[list[int], int]:

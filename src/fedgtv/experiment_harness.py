@@ -635,15 +635,16 @@ def run_experiment(
     weights and trace the search already trained; "graph" only builds and
     exports the empirical graph. Each mode passes through the same stages
     once: load, graph, train, report, commit. Nothing is written until every
-    computation has succeeded. The artifacts are written to a sibling
-    staging directory, the manifest lists the files actually written there,
-    and all of them move into ``out_dir``, the manifest last, only once
-    every one is written, so a failure leaves no partial artifacts. Once the
-    moves succeed, files that an earlier run's manifest in ``out_dir`` lists
-    and this run did not write are deleted. Identical inputs produce
-    byte-identical outputs (the manifest records versions but no
-    timestamps). Returns a summary dict with the report, manifest, and
-    artifact names.
+    computation has succeeded. The artifacts are written to a staging
+    directory beside ``out_dir``, or beside its target if it is a symlink,
+    so each move stays on one filesystem; the manifest lists the files
+    actually written there, and all of them move into ``out_dir``, the
+    manifest last, only once every one is written, so a failure leaves no
+    partial artifacts. Once the moves succeed, files that an earlier run's
+    manifest in ``out_dir`` lists and this run did not write are deleted.
+    Identical inputs produce byte-identical outputs (the manifest records
+    versions but no timestamps). Returns a summary dict with the report,
+    manifest, and artifact names.
     """
     if mode not in ("run", "grid", "graph"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -717,8 +718,9 @@ def run_experiment(
         traces = {cell.algorithm: cell.trace for cell in fits}
         artifacts["trace.csv"] = _render_trace_csv(traces, [ds.node_id for ds in datasets])
 
-    out.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    target = out.resolve() if out.is_symlink() else out  # a symlink's directory may be on another filesystem
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=target.parent))
     try:
         for name, text in artifacts.items():
             (staging / name).write_text(text, encoding="utf-8")

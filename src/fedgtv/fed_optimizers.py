@@ -18,7 +18,9 @@ starting from all-zero weights:
 All three step every node at once through its sufficient statistics: the
 cached :attr:`~fedgtv.data_pipeline.LocalDataset.train_gram` or, for a fedsgd
 node with more rows than its batch, the ``(X^T X, X^T y)`` of the batch it
-draws each round, the one per-node cost left in a round.
+draws each round, the one per-node cost left in a round. A :func:`train_cells`
+run of ``_HELPER_DRAWS`` or more such draws forks a helper process to draw every
+odd round's; no result depends on it, and if it dies this process draws the rest.
 
 :func:`train_cells` trains the cells of a grid in lockstep on a (cells, n, d)
 weight stack; it is the one stacked path. :func:`train`, the round functions
@@ -54,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_pipeline import LocalDataset
+from .data_pipeline import LocalDataset, _forked
 from .empirical_graph import EmpiricalGraph
 from .errors import DegenerateInputError, FedGTVError, ParameterError, ShapeError
 # The rounds call the unchecked kernels; mse_gradient, mse_loss and
@@ -83,6 +85,8 @@ __all__ = [
     "train",
     "train_cells",
 ]
+
+_HELPER_DRAWS = 200  # twice the break-even of a 3-4 ms fork against 80 us draws (2-CPU VM)
 
 
 class Algorithm(str, Enum):
@@ -237,6 +241,7 @@ class _Run:
             self.two_alpha = (2.0 * alpha)[:, None, None]
             # a node larger than its batch overwrites its statistics slots with the drawn batch's each round
             self.sampled = [(i, *self.train[i], datasets[i].node_id) for i in np.flatnonzero(m > self.batch_size)]
+            self.rows, self.pipe = [i for i, *_ in self.sampled], None  # pipe: see train_cells
             m = np.minimum(m, self.batch_size)
         self.scale = (2.0 / m)[:, None]
 
@@ -251,13 +256,29 @@ class _Run:
         return _average(_proximal_solve(self.system, W))
 
     def _fedsgd(self, W: np.ndarray, k: int) -> np.ndarray:
-        for i, X, y, node_id in self.sampled:
-            rng = np.random.default_rng([self.seed, node_id, k])
-            batch = np.sort(rng.choice(len(y), size=self.batch_size, replace=False))
-            X = X[batch]
-            self.xtx[i], self.xty[i] = X.T @ X, X.T @ y[batch]
+        if k % 2 and self.pipe and self.pipe.readinto(self.block) == self.block.nbytes:
+            self.xtx[self.rows], self.xty[self.rows] = self.block[:, :-1], self.block[:, -1]
+        else:
+            self.pipe = None if k % 2 else self.pipe  # a short read: the helper died, so this process draws from here on
+            self._draw(k)
         grad = _gram_gradient(self.xtx, self.xty, self.scale, W)
         return W - self.eta * (grad + self.two_alpha * (self.laplacians @ W))
+
+    def _draw(self, k: int) -> None:
+        """Round ``k``'s batch statistics into each sampled node's ``xtx`` and ``xty`` slots."""
+        for i, X, y, node_id in self.sampled:
+            rng = np.random.default_rng([self.seed, node_id, k])
+            batch = rng.choice(len(y), size=self.batch_size, replace=False)
+            batch.sort()
+            X = X.take(batch, axis=0)
+            self.xtx[i], self.xty[i] = X.T @ X, X.T @ y.take(batch)
+
+    def _send_draws(self, rounds: int, pipe) -> None:
+        """The helper's part: :meth:`_draw` of each odd round to ``pipe``, one (sampled nodes, d + 1, d) block each."""
+        for k in range(1, rounds, 2):
+            self._draw(k)
+            pipe.write(np.concatenate((self.xtx[self.rows], self.xty[self.rows, None]), axis=1))
+            pipe.flush()
 
 
 def _average(W: np.ndarray) -> np.ndarray:
@@ -364,14 +385,24 @@ def train_cells(
     # all trace points if deferred, else one batch of them, scored once full or at the final round
     points = np.empty((total if deferred else max(1, batch // len(configs)),) + W.shape)
     rounds, scores, alphas = [], [([], []) for _ in configs], [c.alpha for c in configs]
-    for k in range(config.max_iterations):
-        W = run.step(W, k)
-        if (k + 1) % config.trace_every == 0 or k + 1 == config.max_iterations:
-            kept = len(rounds) % len(points)
-            points[kept] = W
-            rounds.append(k + 1)
-            if not deferred and (kept + 1 == len(points) or k + 1 == config.max_iterations):
-                _score(scores, points[: kept + 1], run.train, edges, alphas, len(points))
+
+    def trained(pipe) -> np.ndarray:
+        nonlocal W
+        if pipe:
+            run.pipe, run.block = pipe, np.empty((len(run.rows), W.shape[2] + 1, W.shape[2]))
+        for k in range(config.max_iterations):
+            W = run.step(W, k)
+            if (k + 1) % config.trace_every == 0 or k + 1 == config.max_iterations:
+                kept = len(rounds) % len(points)
+                points[kept] = W
+                rounds.append(k + 1)
+                if not deferred and (kept + 1 == len(points) or k + 1 == config.max_iterations):
+                    _score(scores, points[: kept + 1], run.train, edges, alphas, len(points))
+        return W
+
+    draws = config.algorithm is Algorithm.FEDSGD and len(run.rows) * config.max_iterations
+    forked = draws and draws >= _HELPER_DRAWS and _forked(functools.partial(run._send_draws, config.max_iterations), trained)
+    W = forked[0] if forked else trained(None)
     if deferred:
         cell = lambda c: (points[:, c : c + 1], run.train, edges and edges[c : c + 1], alphas[c : c + 1], max(1, batch))
         scores = [functools.partial(_score_later, np.geterr(), *cell(c)) for c in range(len(configs))]

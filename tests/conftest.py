@@ -1,14 +1,34 @@
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fedgtv import data_pipeline
 from fedgtv.data_pipeline import FEATURE_DIM, engineer_features
 from fedgtv.empirical_graph import EmpiricalGraph
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test that leaves a child process behind, exited or not: every forked helper is
+    reaped before the call that forked it returns or raises."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``os.fork`` returns in this test, whose helpers run on a host of any CPU count."""
+    pids, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+    monkeypatch.setattr(data_pipeline, "_usable_cpus", lambda: 2)
+    return pids
 
 
 def graph_from_edges(n, edges, min_degree=1):

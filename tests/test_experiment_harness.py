@@ -1,4 +1,5 @@
 import configparser
+import errno
 import json
 import math
 import os
@@ -1474,6 +1475,54 @@ class TestCli:
             assert os.readlink(blocker) == str(tmp_path / "missing") and not blocker.exists()
         else:
             assert blocker.read_text() == "keep\n"
+
+    def test_out_symlink_to_another_filesystem(self, tmp_path, monkeypatch):
+        # every path under otherfs counts as a second device, where a move from outside fails
+        other = tmp_path / "otherfs"
+        (other / "dest").mkdir(parents=True)
+        out = tmp_path / "xlink"
+        out.symlink_to(other / "dest")
+        move = Path.replace
+
+        def cross_device_move(self, target):
+            if (other in self.resolve().parents) != (other in Path(target).resolve().parents):
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+            return move(self, target)
+
+        monkeypatch.setattr(Path, "replace", cross_device_move)
+        result = self.run_cli("graph", "--config", str(synthetic_config(tmp_path)), "--out", str(out))
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in (other / "dest").iterdir()) == ["graph.edges", "manifest.json"]
+        assert sorted(p.name for p in other.iterdir()) == ["dest"]  # staging removed
+
+    def test_grid_artifacts_do_not_depend_on_the_draw_helper(self, tmp_path, monkeypatch, forks):
+        write_spec(tmp_path)
+        cfg = write_config(
+            tmp_path,
+            """\
+            [data]
+            synthetic = spec.json
+
+            [optimizer]
+            batch_size = 5
+            max_iterations = 41
+            trace_every = 10
+
+            [grid]
+            alphas = 0.1, 1.0
+            etas = 0.05, 0.01
+            degrees = 2, 3
+            """,
+        )
+        artifacts = []
+        for draws in (math.inf, 0):
+            monkeypatch.setattr(fed_optimizers, "_HELPER_DRAWS", draws)
+            out = tmp_path / f"out_{draws}"
+            result = self.run_cli("grid", "--config", str(cfg), "--out", str(out))
+            assert result.exit_code == 0, result.output
+            artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(forks) == 1 and artifacts[0] == artifacts[1]
+        assert sorted(artifacts[0]) == ["graph.edges", "grid.csv", "manifest.json", "metrics.json", "metrics.txt", "trace.csv"]
 
     def test_seed_override_changes_splits(self, tmp_path):
         cfg = synthetic_config(tmp_path)

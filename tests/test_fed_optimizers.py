@@ -1,4 +1,6 @@
 import math
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -133,24 +135,31 @@ class TestFedsgdRound:
 
     def test_sampled_node_steps_on_its_drawn_batch(self):
         # the README's mini-batch stream: sorted indices drawn without replacement
-        # from default_rng([seed, node_id, round]), whatever eta and alpha are
-        datasets = synthetic_datasets(rows=60)
+        # from default_rng([seed, node_id, round]), whatever eta and alpha are.
+        # numpy's choice draws by Floyd's algorithm up to 10,000 rows, and by a
+        # tail shuffle above that while the batch exceeds 1/50 of the rows.
         graph = graph_from_edges(3, [(0, 1), (1, 2)])
         L = graph.laplacian()
-        for eta, alpha in ((0.01, 0.1), (0.05, 1.0)):
-            config = OptimizerConfig("fedsgd", eta=eta, alpha=alpha, batch_size=5, seed=7)
-            W = np.random.default_rng(4).standard_normal((3, 3))
-            for k in (3, 4):
-                out = fedsgd_round(W, datasets, graph, config, round_index=k)
-                coupling = 2 * alpha * (L @ W)
-                for i, ds in enumerate(datasets):
-                    X, y = ds.train
-                    assert len(y) > config.batch_size
-                    rng = np.random.default_rng([config.seed, ds.node_id, k])
-                    batch = np.sort(rng.choice(len(y), config.batch_size, replace=False))
-                    grad = mse_gradient(X[batch], y[batch], W[i])
-                    assert np.array_equal(out[i], W[i] - eta * (grad + coupling[i])), (eta, k, i)
-                W = out
+        for rows, batch_size in ((60, 5), (16_000, 512)):
+            datasets = synthetic_datasets(rows=rows)
+            for eta, alpha in ((0.01, 0.1), (0.05, 1.0)):
+                config = OptimizerConfig("fedsgd", eta=eta, alpha=alpha, batch_size=batch_size, seed=7)
+                W = np.random.default_rng(4).standard_normal((3, 3))
+                for k in (3, 4):
+                    out = fedsgd_round(W, datasets, graph, config, round_index=k)
+                    coupling = 2 * alpha * (L @ W)
+                    for i, ds in enumerate(datasets):
+                        X, y = ds.train
+                        assert batch_size < len(y) and (len(y) > 10_000) == (rows > 60) and len(y) < 50 * batch_size
+                        rng = np.random.default_rng([config.seed, ds.node_id, k])
+                        batch = np.sort(rng.choice(len(y), batch_size, replace=False))
+                        # only the sorted batch matters, but on a tail shuffle shuffle=False is another stream
+                        rng = np.random.default_rng([config.seed, ds.node_id, k])
+                        unshuffled = np.sort(rng.choice(len(y), batch_size, replace=False, shuffle=False))
+                        assert np.array_equal(unshuffled, batch) == (rows == 60)
+                        grad = mse_gradient(X[batch], y[batch], W[i])
+                        assert np.array_equal(out[i], W[i] - eta * (grad + coupling[i])), (rows, eta, k, i)
+                    W = out
 
     def test_two_node_contraction_factor_exact(self):
         # zero data gradient: X = 0 keeps the local loss flat
@@ -657,3 +666,100 @@ class TestTrain:
     def test_no_datasets(self):
         with pytest.raises(DegenerateInputError):
             train([], None, OptimizerConfig("fedavg1", eta=0.1))
+
+
+
+def mixed_stack():
+    """A two-cell fedsgd stack whose nodes lie on both sides of batch_size, over an odd round count."""
+    spec = SyntheticSpec(
+        node_count=4,
+        rows_per_node=(60, 8, 90, 40),
+        feature_dim=3,
+        cluster_assignment=(0, 0, 1, 1),
+        cluster_weights=((1.5, 0.0, -0.5), (-1.0, 0.5, 0.5)),
+        noise_std=0.2,
+    )
+    datasets = generate_synthetic(spec)
+    assert min(len(ds.train[1]) for ds in datasets) <= 12 < max(len(ds.train[1]) for ds in datasets)
+    graphs = [graph_from_edges(4, [(0, 1), (1, 2), (2, 3)]), graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])]
+    configs = [
+        OptimizerConfig("fedsgd", eta, alpha, batch_size=12, max_iterations=41, seed=5, trace_every=4)
+        for eta, alpha in ((0.02, 0.1), (0.05, 1.0))
+    ]
+    return datasets, graphs, configs
+
+
+def trained_bits(monkeypatch, helper):
+    """The final weights and trace values of :func:`mixed_stack`, the draw helper forced on or off."""
+    monkeypatch.setattr(fedgtv.fed_optimizers, "_HELPER_DRAWS", 0 if helper else math.inf)
+    W, traces = train_cells(*mixed_stack())
+    return W.tobytes(), [(t.rounds, t.objective, [losses.tobytes() for losses in t.node_losses]) for t in traces]
+
+
+class TestDrawHelper:
+    """train_cells with a forked helper drawing every odd round's mini-batches, against one process."""
+
+    def test_helper_gives_the_same_bits(self, monkeypatch, forks):
+        alone = trained_bits(monkeypatch, helper=False)
+        assert forks == []
+        assert trained_bits(monkeypatch, helper=True) == alone
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("sent", [0, 3], ids=["before_sending", "after_three_rounds"])
+    def test_helper_that_dies_gives_the_same_bits(self, monkeypatch, forks, sent):
+        alone = trained_bits(monkeypatch, helper=False)
+        send = fedgtv.fed_optimizers._Run._send_draws
+
+        def dying(self, rounds, pipe):
+            send(self, 2 * sent, pipe)  # the odd rounds below 2 * sent
+            os._exit(1)
+
+        monkeypatch.setattr(fedgtv.fed_optimizers._Run, "_send_draws", dying)
+        assert trained_bits(monkeypatch, helper=True) == alone
+        assert len(forks) == 1
+
+    def test_fork_failure_stays_in_one_process(self, monkeypatch, forks):
+        alone = trained_bits(monkeypatch, helper=False)
+        pipes, pipe = [], os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+
+        def no_fork():
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert trained_bits(monkeypatch, helper=True) == alone
+        assert len(pipes) == 1
+        for fd in pipes[0]:
+            with pytest.raises(OSError):  # closed again
+                os.fstat(fd)
+
+    def test_error_mid_run_kills_and_reaps_the_helper(self, monkeypatch, forks):
+        send, step = fedgtv.fed_optimizers._Run._send_draws, fedgtv.fed_optimizers._Run.step
+
+        def stalling(self, rounds, pipe):
+            send(self, 6, pipe)  # odd rounds 1, 3 and 5, then still at work
+            time.sleep(60)
+
+        def failing(self, W, k):
+            if k == 6:
+                raise RuntimeError("stopped at round 6")
+            return step(self, W, k)
+
+        monkeypatch.setattr(fedgtv.fed_optimizers._Run, "_send_draws", stalling)
+        monkeypatch.setattr(fedgtv.fed_optimizers._Run, "step", failing)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="round 6"):
+            trained_bits(monkeypatch, helper=True)
+        assert len(forks) == 1 and time.monotonic() - start < 30  # killed, not waited for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_rounds_and_small_runs_fork_nothing(self, monkeypatch, forks):
+        datasets, graphs, configs = mixed_stack()
+        sampled = sum(len(ds.train[1]) > configs[0].batch_size for ds in datasets)
+        assert sampled * configs[0].max_iterations < fedgtv.fed_optimizers._HELPER_DRAWS
+        train_cells(datasets, graphs, configs)
+        monkeypatch.setattr(fedgtv.fed_optimizers, "_HELPER_DRAWS", 0)
+        for k in range(3):
+            fedsgd_round(np.zeros((4, 3)), datasets, graphs[0], configs[0], round_index=k)
+        assert forks == []
