@@ -52,6 +52,7 @@ from .errors import (
     NoFeasibleConfigError,
     ParameterError,
     SchemaError,
+    SplitError,
 )
 from .fed_optimizers import Algorithm, OptimizerConfig, TrainingTrace, _losses, _split_parts, train_cells
 # train and mse_loss stay importable here: the benchmark's tracer wraps them at this path.
@@ -296,11 +297,16 @@ def run_grid_search(
     identical to training it alone. Each trained cell keeps its weights,
     and only each algorithm's winner its trace. Cells are recorded in
     degree-major, then alpha, then eta order; selection does not depend on
-    that order. Raises NoFeasibleConfigError when an algorithm has no
+    that order. Raises SplitError, before any training, when a node has no
+    validation rows, and NoFeasibleConfigError when an algorithm has no
     candidate with a finite validation MSE.
     """
     if len(datasets) == 0:
         raise DegenerateInputError("no datasets to search over")
+    for ds in datasets:  # its NaN val MSE would poison every cell's mean
+        n_train, n_val, n_test = (len(ds.split(name)[1]) for name in ("train", "val", "test"))
+        if not n_val:
+            raise SplitError(f"node {ds.node_id}: empty validation split ({n_train} train, 0 val, {n_test} test rows)")
     grid = GridSpec() if grid is None else grid
     cells: list[GridCell] = []
     best: dict[str, GridCell] = {}
@@ -635,12 +641,12 @@ def run_experiment(
     weights and trace the search already trained; "graph" only builds and
     exports the empirical graph. Each mode passes through the same stages
     once: load, graph, train, report, commit. Nothing is written until every
-    computation has succeeded. The artifacts are written to a staging
-    directory beside ``out_dir``, or beside its target if it is a symlink,
-    so each move stays on one filesystem; the manifest lists the files
-    actually written there, and all of them move into ``out_dir``, the
-    manifest last, only once every one is written, so a failure leaves no
-    partial artifacts. Once the moves succeed, files that an earlier run's
+    computation has succeeded. The artifacts are written to a hidden staging
+    directory inside ``out_dir``, so each move stays on one filesystem; the
+    manifest lists the files actually written there, and all of them move
+    into ``out_dir``, the manifest last, only once every one is written, so
+    a failure leaves no partial artifacts, and no ``out_dir`` that this run
+    created. Once the moves succeed, files that an earlier run's
     manifest in ``out_dir`` lists and this run did not write are deleted.
     Identical inputs produce byte-identical outputs (the manifest records
     versions but no timestamps). Returns a summary dict with the report,
@@ -718,9 +724,10 @@ def run_experiment(
         traces = {cell.algorithm: cell.trace for cell in fits}
         artifacts["trace.csv"] = _render_trace_csv(traces, [ds.node_id for ds in datasets])
 
-    target = out.resolve() if out.is_symlink() else out  # a symlink's directory may be on another filesystem
-    target.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=target.parent))
+    created = not out.is_dir()  # and so removed again if the commit fails
+    out.mkdir(parents=True, exist_ok=True)
+    # staged inside out, so every move stays on out's filesystem, also through a symlink or at a mount point
+    staging, committed = Path(tempfile.mkdtemp(prefix=".fedgtv-staging-", dir=out)), False
     try:
         for name, text in artifacts.items():
             (staging / name).write_text(text, encoding="utf-8")
@@ -741,7 +748,8 @@ def run_experiment(
                 path.unlink()
                 if path.parent != out and not any(path.parent.iterdir()):
                     path.parent.rmdir()
+        committed = True
     finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        shutil.rmtree(out if created and not committed else staging, ignore_errors=True)
 
     return {"out_dir": str(out), "artifacts": manifest["artifacts"], "report": report, "manifest": manifest}

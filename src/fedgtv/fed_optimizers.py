@@ -40,11 +40,13 @@ kernels that :func:`~fedgtv.model_core.mse_gradient`,
 public round builds the same context for one cell and takes one step.
 Nothing is cached between calls.
 
-Trace points are scored in batches, one stacked residual per node over a
-batch's weight rows, no larger than all training labels together and
-bitwise what scoring each point alone gives. A :func:`train_cells` call of
-several cells whose trace points fit in the training features' size scores
-each cell's trace only on first read, so a grid never scores a losing cell's.
+Trace points are scored in batches, per node by one stacked residual over a
+batch's weight rows, no larger than all training labels together, and one
+stacked dot of each residual row with itself: a fixed number of numpy calls
+per node whatever the batch size, each value bitwise what scoring the point
+alone gives. A :func:`train_cells` call of several cells whose trace points
+fit in the training features' size scores each cell's trace only on first
+read, so a grid never scores a losing cell's.
 """
 from __future__ import annotations
 
@@ -283,7 +285,7 @@ class _Run:
 
 def _average(W: np.ndarray) -> np.ndarray:
     """Every node row replaced by the mean over nodes, reduced in ascending node order."""
-    return np.repeat(W.mean(axis=1, keepdims=True), W.shape[1], axis=1)
+    return np.repeat(np.add.reduce(W, axis=1, keepdims=True) / W.shape[1], W.shape[1], axis=1)
 
 
 def _one_round(algorithm: Algorithm, weights, datasets, config: OptimizerConfig, round_index: int = 0, graph=None):

@@ -40,18 +40,19 @@ def _as_weights(X, w, stacked: bool = False) -> np.ndarray:
     return w
 
 
-def _mse_rows(X, y, W) -> list[float]:
-    """:func:`mse_loss` of each row of a (C, d) weight stack, unchecked.
+def _mse_rows(X, y, W) -> np.ndarray:
+    """(C,) :func:`mse_loss` of each row of a (C, d) weight stack, unchecked.
 
     One stacked residual ``y - X w`` (a matrix-vector product per row; a
     matrix product would sum in another order), subtracted into the product's
-    own buffer so the call holds one (C, m) temporary, then one dot per row,
-    so each value is bitwise the one-row call's, also for a non-contiguous
-    slice ``W[:, i]`` of a larger stack.
+    own buffer so the call holds one (C, m) temporary, then one stacked
+    (1, m) by (m, 1) product, which numpy sends to the BLAS dot of ``r @ r``
+    row by row. So each value is bitwise the one-row call's, also for a
+    non-contiguous slice ``W[:, i]`` of a larger stack.
     """
-    R = np.matmul(X, W[..., None])[..., 0]
-    np.subtract(y, R, out=R)
-    return [float(r @ r) / X.shape[0] for r in R]
+    R = np.matmul(X, W[..., None])
+    np.subtract(y[:, None], R, out=R)
+    return np.matmul(np.swapaxes(R, -1, -2), R)[:, 0, 0] / X.shape[0]
 
 
 def mse_loss(X, y, w) -> float:
@@ -60,7 +61,7 @@ def mse_loss(X, y, w) -> float:
     w = _as_weights(X, w)
     if X.shape[0] == 0:
         raise DegenerateInputError("MSE is undefined on an empty dataset")
-    return _mse_rows(X, y, w[None])[0]
+    return float(_mse_rows(X, y, w[None])[0])
 
 
 def _gram_gradient(xtx, xty, scale, w) -> np.ndarray:

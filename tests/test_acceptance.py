@@ -4,7 +4,8 @@ Run with ``pytest -v -s tests/test_acceptance.py`` to see the PASS lines.
 Criterion 7 exercises the public hospital length-of-stay benchmark and skips
 itself when the CSV is not present; set FEDGTV_LOS_CSV or place
 LengthOfStay.csv under tests/data/ to enable it. The paper grid also runs,
-pinned, on the benchmark's seeded public-format stand-in for that CSV.
+pinned, on the benchmark's seeded public-format stand-in for that CSV, and
+on twelve small stand-ins that show where federation pays.
 """
 
 import csv
@@ -15,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import graph_from_edges
+from conftest import graph_from_edges, load_perfbench_inputs
 
-from fedgtv.data_pipeline import LocalDataset, SyntheticSpec, generate_synthetic
+from fedgtv.data_pipeline import LocalDataset, SyntheticSpec, generate_synthetic, load_preprocessed
 from fedgtv.empirical_graph import (
     build_knn_graph,
     discrepancy_matrix,
@@ -32,7 +33,7 @@ from fedgtv.fed_optimizers import (
     gtv_objective,
     train,
 )
-from fedgtv.model_core import mse_gradient, mse_loss, proximal_step
+from fedgtv.model_core import least_squares_fit, mse_gradient, mse_loss, proximal_step
 
 LOS_ENV = "FEDGTV_LOS_CSV"
 
@@ -424,6 +425,54 @@ def test_paper_grid_on_public_format_stand_in(tmp_path, los_csvs):
         f"PASS paper grid on the stand-in: mean test MSE fedsgd {test['fedsgd']:.6f} below "
         f"fedavg1 {test['fedavg1']:.6f} and fedavg2 {test['fedavg2']:.6f} (criterion 7's "
         "fedavg1 < fedavg2 does not hold on the stand-in); 42 grid scores pinned"
+    )
+
+
+# Mean test MSE (local, pooled, fedsgd, fedavg1, fedavg2) on small public-format
+# stand-ins, write_los(seed) with 5 facilities of k rows and no malformed rows,
+# keyed (k, seed). The algorithms' values are the default grid's winners
+# (algorithm = all); local and pooled are least_squares_fit on each node's,
+# and on all nodes', training split.
+FEDERATION_TEST_MSE = {
+    (40, 1): (2.87583521255, 1.99652339243, 1.88769580847, 1.99652749557, 1.95666244506),
+    (40, 2): (4.7475033458, 2.46635071843, 2.32433322297, 2.25142877295, 2.42087738405),
+    (40, 3): (2.63820381952, 1.71108391332, 1.63718358532, 1.71108238865, 1.70622214773),
+    (40, 4): (1.63662631981, 1.71805601839, 1.64192393849, 1.71706614939, 1.72140250103),
+    (40, 5): (3.45518376585, 2.08560557917, 2.04181140407, 2.30397477952, 2.10488554717),
+    (40, 6): (6.26145004174, 2.1709285181, 2.50737862687, 2.17192563616, 2.16834521098),
+    (100, 1): (1.65638354504, 1.28304356745, 1.30970412674, 1.28305114328, 1.28124371643),
+    (100, 2): (1.68493018264, 1.65023418826, 1.58028095417, 1.57233938815, 1.63888518827),
+    (100, 3): (1.64014491066, 1.29863392909, 1.3100551751, 1.29863056441, 1.28999977121),
+    (100, 4): (1.72528908876, 1.80679926828, 1.4104578395, 1.80672863252, 1.8067372157),
+    (100, 5): (1.64381281573, 1.71107175367, 1.57564696566, 1.71106751119, 1.701396701),
+    (100, 6): (1.81939512113, 1.49999192806, 1.42090285242, 1.49976114035, 1.49421498065),
+}
+
+
+def test_where_federation_pays_on_small_stand_ins(tmp_path):
+    los_inputs = load_perfbench_inputs()
+    found = {}
+    for k, seed in FEDERATION_TEST_MSE:
+        shape = los_inputs.LosShape(tuple((facility, k) for facility in "ABCDE"), malformed_per_kind=0)
+        los = los_inputs.write_los(seed, tmp_path / f"{k}_{seed}", shape)
+        result = run_experiment(los.config, tmp_path / f"{k}_{seed}" / "out", mode="grid", algorithm="all")
+        assert [b.algorithm for b in result["report"].blocks] == ["fedsgd", "fedavg1", "fedavg2"]
+        datasets, _ = load_preprocessed(los.config.parent / "los.csv", seed=los.split_seed)
+        local = np.mean([mse_loss(*ds.test, least_squares_fit(*ds.train)) for ds in datasets])
+        pooled_w = least_squares_fit(*(np.concatenate(part) for part in zip(*(ds.train for ds in datasets))))
+        pooled = np.mean([mse_loss(*ds.test, pooled_w) for ds in datasets])
+        found[k, seed] = (local, pooled, *(b.mean_test for b in result["report"].blocks))
+        assert found[k, seed] == pytest.approx(FEDERATION_TEST_MSE[k, seed], rel=1e-9), (k, seed)
+    # The one order that holds on every stand-in; no seed is dropped to make another hold.
+    assert all(min(algorithms) < pooled for _, pooled, *algorithms in found.values())
+    count = lambda better: sum(better(*values) for values in found.values())
+    print(
+        f"PASS where federation pays: on {len(found)} small stand-ins (5 facilities x 40 or 100 rows, "
+        f"seeds 1-6) the best algorithm beats pooled in {len(found)}, and local in "
+        f"{count(lambda local, pooled, *algorithms: min(algorithms) < local)}; fedsgd beats local in "
+        f"{count(lambda local, pooled, sgd, *avg: sgd < local)}, pooled in "
+        f"{count(lambda local, pooled, sgd, *avg: sgd < pooled)} and both averaging variants in "
+        f"{count(lambda local, pooled, sgd, *avg: sgd < min(avg))}"
     )
 
 

@@ -960,6 +960,19 @@ class TestRunExperiment:
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
         assert [p.name for p in out.parent.iterdir()] == ["out"]  # staging removed
 
+    def test_failed_commit_removes_the_out_dir_it_created(self, tmp_path, monkeypatch):
+        move = Path.replace
+
+        def failing_move(self, target):
+            if Path(target).name == "manifest.json":  # after graph.edges has moved
+                raise PermissionError("manifest.json is locked")
+            return move(self, target)
+
+        monkeypatch.setattr(Path, "replace", failing_move)
+        with pytest.raises(PermissionError, match="locked"):
+            run_experiment(synthetic_config(tmp_path), tmp_path / "runs" / "out", mode="graph")
+        assert list((tmp_path / "runs").iterdir()) == []
+
     @pytest.mark.parametrize("dump_data", [False, True])
     @pytest.mark.parametrize("mode", ["run", "grid", "graph"])
     def test_manifest_lists_every_file_written(self, tmp_path, mode, dump_data):
@@ -1495,6 +1508,36 @@ class TestCli:
         assert sorted(p.name for p in (other / "dest").iterdir()) == ["graph.edges", "manifest.json"]
         assert sorted(p.name for p in other.iterdir()) == ["dest"]  # staging removed
 
+    def test_out_mount_point(self, tmp_path, monkeypatch):
+        # out itself is a second device, as a container volume given as --out is
+        out = tmp_path / "volume"
+        out.mkdir()
+        move = Path.replace
+
+        def cross_device_move(self, target):
+            if (out in self.resolve().parents) != (out in Path(target).resolve().parents):
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+            return move(self, target)
+
+        monkeypatch.setattr(Path, "replace", cross_device_move)
+        result = self.run_cli("graph", "--config", str(synthetic_config(tmp_path)), "--out", str(out))
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in out.iterdir()) == ["graph.edges", "manifest.json"]  # staging removed
+
+    def test_grid_rejects_an_empty_val_split_before_training(self, tmp_path, monkeypatch):
+        # a 3-row node splits 2 / 0 / 1: run reports its val as null, a grid cannot select on it
+        spec = {**SPEC_JSON, "node_count": 5, "rows_per_node": [3, 40, 40, 40, 40], "feature_dim": 2,
+                "cluster_assignment": [0, 0, 1, 1, 1], "cluster_weights": [[1.0, -1.0], [-1.0, 1.0]]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        cfg = write_config(tmp_path, "[data]\nsynthetic = spec.json\n")
+        trained = []
+        monkeypatch.setattr(experiment_harness, "pretrain_local_weights", lambda *args: trained.append(args))
+        monkeypatch.setattr(experiment_harness, "train_cells", lambda *args: trained.append(args))
+        result = self.run_cli("grid", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "data error: node 1: empty validation split (2 train, 0 val, 1 test rows)\n"
+        assert trained == [] and not (tmp_path / "out").exists()
+
     def test_grid_artifacts_do_not_depend_on_the_draw_helper(self, tmp_path, monkeypatch, forks):
         write_spec(tmp_path)
         cfg = write_config(
@@ -1547,3 +1590,12 @@ def test_readme_library_example_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("== fedsgd ==\n") and "\n  mean " in proc.stdout
+
+
+def test_cli_import_loads_no_process_or_scipy_module():
+    # every CLI call pays its import time; the fork paths import signal only once they fork
+    heavy = ["signal", "subprocess", "multiprocessing", "concurrent.futures", "scipy"]
+    code = f"import sys, fedgtv.cli; print([name for name in {heavy!r} if name in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
