@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import itertools
 import json
 import math
 import platform
@@ -225,10 +226,11 @@ def evaluate(
 class GridCell:
     """One grid cell: hyperparameters, validation score, and what it trained.
 
-    ``alpha``/``degree`` are None for the averaging variants. ``val_mse`` is
-    None when the cell was skipped because its graph is disconnected. The
-    ``weights`` and ``trace`` it trained (None until then) and its ``graph``
-    (None for the averaging variants) take no part in equality or ``repr``.
+    ``alpha``/``degree`` are None for the averaging variants. ``val_mse``, the
+    mean of the per-node ``val_losses``, is None when the cell was skipped
+    because its graph is disconnected. That row, the ``weights`` and ``trace``
+    it trained (None until then) and its ``graph`` (None for the averaging
+    variants) take no part in equality or ``repr``.
     """
 
     algorithm: str
@@ -237,6 +239,7 @@ class GridCell:
     degree: int | None = None
     connected: bool = True
     val_mse: float | None = None
+    val_losses: np.ndarray | None = field(default=None, compare=False, repr=False)
     weights: np.ndarray | None = field(default=None, compare=False, repr=False)
     trace: TrainingTrace | None = field(default=None, compare=False, repr=False)
     graph: EmpiricalGraph | None = field(default=None, compare=False, repr=False)
@@ -341,7 +344,7 @@ def _train_step(datasets: Sequence[LocalDataset], cells: Sequence[GridCell], set
     """Train one algorithm's cells, each on its ``graph``, in one :func:`train_cells` call; score each on val.
 
     A cell's eta and alpha (0 for None) and the shared ``settings`` make its OptimizerConfig. Returns the cells
-    with their ``val_mse``, ``weights`` and ``trace``; a diverging cell scores non-finite, with no warning.
+    with their ``val_losses``, ``val_mse``, ``weights`` and ``trace``; a diverging cell scores non-finite, with no warning.
     """
     if not cells:
         return []
@@ -350,7 +353,7 @@ def _train_step(datasets: Sequence[LocalDataset], cells: Sequence[GridCell], set
         W, traces = train_cells(datasets, [cell.graph for cell in cells], configs)
         val = _losses(_split_parts(datasets, "val", W), W)
         fits = zip(cells, val, W, traces)
-        return [replace(cell, val_mse=float(np.mean(row)), weights=w, trace=trace) for cell, row, w, trace in fits]
+        return [replace(cell, val_mse=float(np.mean(row)), val_losses=row, weights=w, trace=t) for cell, row, w, t in fits]
 
 
 @dataclass
@@ -561,9 +564,11 @@ def _render_grid_csv(cells: Sequence[GridCell]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _hyperparameters(cell: GridCell) -> dict:
-    """The cell's alpha, eta and degree, in report order, less an averaging variant's Nones."""
-    return {key: getattr(cell, key) for key in ("alpha", "eta", "degree") if getattr(cell, key) is not None}
+def _metrics(cell: GridCell, test: np.ndarray, datasets: Sequence[LocalDataset]) -> AlgorithmMetrics:
+    """A trained cell's report block: train at its final trace point, its val row, and ``test``, bitwise evaluate's."""
+    scores = [tuple(row.tolist()) for row in (cell.trace.node_losses[-1], cell.val_losses, test)]
+    hyperparameters = {key: getattr(cell, key) for key in ("alpha", "eta", "degree") if getattr(cell, key) is not None}
+    return AlgorithmMetrics(cell.algorithm, tuple(ds.node_id for ds in datasets), *scores, hyperparameters)
 
 
 def _check_finite(algorithm: str, trace: TrainingTrace, datasets: Sequence[LocalDataset]) -> None:
@@ -635,22 +640,23 @@ def run_experiment(
     """Execute one experiment and write its artifacts to ``out_dir``.
 
     Modes: "run" trains the configured algorithms at the fixed [optimizer]
-    settings and raises DivergenceError, naming the algorithm, round and
-    node, if a training loss in a trace is not finite; "grid" runs the
-    hyperparameter search and reports each algorithm's winner from the
-    weights and trace the search already trained; "graph" only builds and
-    exports the empirical graph. Each mode passes through the same stages
-    once: load, graph, train, report, commit. Nothing is written until every
-    computation has succeeded. The artifacts are written to a hidden staging
-    directory inside ``out_dir``, so each move stays on one filesystem; the
-    manifest lists the files actually written there, and all of them move
-    into ``out_dir``, the manifest last, only once every one is written, so
-    a failure leaves no partial artifacts, and no ``out_dir`` that this run
-    created. Once the moves succeed, files that an earlier run's
-    manifest in ``out_dir`` lists and this run did not write are deleted.
-    Identical inputs produce byte-identical outputs (the manifest records
-    versions but no timestamps). Returns a summary dict with the report,
-    manifest, and artifact names.
+    settings and raises DivergenceError, naming the algorithm, round and node,
+    if a training loss in a trace is not finite; "grid" runs the hyperparameter
+    search and reports each algorithm's winner from the weights, trace and val
+    scores the search already took; "graph" only builds and exports the
+    empirical graph. The [optimizer] settings a mode trains with are checked
+    before any data loads. Each mode passes through the same stages once: load,
+    graph, train, report, commit; the report scores only the test split.
+    Nothing is written until every computation has succeeded. The artifacts are
+    written to a hidden staging directory inside ``out_dir``, so each move
+    stays on one filesystem; the manifest lists the files actually written
+    there, and all of them move into ``out_dir``, the manifest last, only once
+    every one is written, so a failure leaves no partial artifacts, and no
+    directory that this run created for ``out_dir``. Once the moves succeed,
+    files that an earlier run's manifest in ``out_dir`` lists and this run did
+    not write are deleted. Identical inputs produce byte-identical outputs (the
+    manifest records versions but no timestamps). Returns a summary dict with
+    the report, manifest, and artifact names.
     """
     if mode not in ("run", "grid", "graph"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -670,6 +676,12 @@ def run_experiment(
     found = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())  # out, or the ancestor mkdir would create it in
     if not found.is_dir():
         raise ConfigError(f"--out {out}: {found} is not a directory")
+    settings = {key: getattr(cfg, key) for key in ("batch_size", "max_iterations", "seed", "trace_every")}
+    if mode == "run":  # every setting the mode trains with, before any data loads; alpha too where nothing uses it
+        for algo in cfg.algorithms:
+            OptimizerConfig(algo, cfg.eta, cfg.alpha, **settings)
+    elif mode == "grid":  # GridSpec checked every eta and alpha it holds
+        OptimizerConfig(cfg.grid.algorithms[0], cfg.grid.etas[0], **settings)
 
     datasets, source = _load_datasets(cfg)
     manifest: dict = {
@@ -690,14 +702,11 @@ def run_experiment(
 
     artifacts: dict[str, str] = {}
     fits: list[GridCell] = []  # one trained cell per algorithm
-    settings = {key: getattr(cfg, key) for key in ("batch_size", "max_iterations", "seed", "trace_every")}
     if mode == "run":
         manifest["optimizer"] = {
             "algorithms": [a.value for a in cfg.algorithms], "eta": cfg.eta, "alpha": cfg.alpha,
             "batch_size": cfg.batch_size, "max_iterations": cfg.max_iterations,
         }
-        for algo in cfg.algorithms:  # checks eta for each, and alpha also when nothing uses it, before anything trains
-            OptimizerConfig(algo, cfg.eta, cfg.alpha, **settings)
         for algo in cfg.algorithms:
             # the one difference from a grid cell: fedsgd trains on the configured graph even when it is disconnected
             fedsgd = algo is Algorithm.FEDSGD
@@ -715,16 +724,16 @@ def run_experiment(
         manifest["graph"] = graph_summary(graph)
 
     report: MetricsReport | None = None
-    if mode != "graph":
-        report = MetricsReport(
-            [evaluate(cell.weights, datasets, cell.algorithm, _hyperparameters(cell)).blocks[0] for cell in fits]
-        )
+    if mode != "graph":  # the scores training took; test once, for every reported cell at once
+        W = np.stack([cell.weights for cell in fits])
+        report = MetricsReport([_metrics(*fit, datasets) for fit in zip(fits, _losses(_split_parts(datasets, "test", W), W))])
         artifacts["metrics.txt"] = report.to_text()
         artifacts["metrics.json"] = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
         traces = {cell.algorithm: cell.trace for cell in fits}
         artifacts["trace.csv"] = _render_trace_csv(traces, [ds.node_id for ds in datasets])
 
-    created = not out.is_dir()  # and so removed again if the commit fails
+    # the directories mkdir makes, out first; the topmost is removed again, with all it holds, if the commit fails
+    created = [*itertools.takewhile(lambda p: not (p.exists() or p.is_symlink()), (out, *out.parents))]
     out.mkdir(parents=True, exist_ok=True)
     # staged inside out, so every move stays on out's filesystem, also through a symlink or at a mount point
     staging, committed = Path(tempfile.mkdtemp(prefix=".fedgtv-staging-", dir=out)), False
@@ -750,6 +759,6 @@ def run_experiment(
                     path.parent.rmdir()
         committed = True
     finally:
-        shutil.rmtree(out if created and not committed else staging, ignore_errors=True)
+        shutil.rmtree(created[-1] if created and not committed else staging, ignore_errors=True)
 
     return {"out_dir": str(out), "artifacts": manifest["artifacts"], "report": report, "manifest": manifest}

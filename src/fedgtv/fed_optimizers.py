@@ -9,9 +9,9 @@ starting from all-zero weights:
   last-round neighbor weights. This is a strict descent step on
   :func:`gtv_objective`; an update that *added* the coupling difference would
   drive neighbor weights apart instead of together.
-* ``fedavg1`` - one full-batch gradient step per node, then every node adopts
-  the average of the stepped weights.
-* ``fedavg2`` - closed-form proximal minimization around the shared weights
+* ``fedavg1`` - one full-batch gradient step per node, then the server
+  averages the stepped weights into the one model every node starts from.
+* ``fedavg2`` - closed-form proximal minimization around the server model
   per node, then averaging. No graph is used by either averaging variant
   (the implicit topology is a star around the averaging server).
 
@@ -248,14 +248,14 @@ class _Run:
         self.scale = (2.0 / m)[:, None]
 
     def step(self, W: np.ndarray, k: int) -> np.ndarray:
-        """The weights after round ``k``."""
+        """Round ``k``'s (C, n, d) fedsgd weights, or (C, 1, d) server model, which broadcasts against every node."""
         # not a stored bound method: that is a reference cycle, which keeps the
         # run's arrays alive until the cyclic garbage collector runs
         if self.algorithm is Algorithm.FEDSGD:
             return self._fedsgd(W, k)
-        if self.algorithm is Algorithm.FEDAVG1:
-            return _average(W - self.eta * _gram_gradient(self.xtx, self.xty, self.scale, W))
-        return _average(_proximal_solve(self.system, W))
+        fedavg1 = self.algorithm is Algorithm.FEDAVG1
+        W = W - self.eta * _gram_gradient(self.xtx, self.xty, self.scale, W) if fedavg1 else _proximal_solve(self.system, W)
+        return np.add.reduce(W, axis=1, keepdims=True) / W.shape[1]  # the (C, 1, d) server model
 
     def _fedsgd(self, W: np.ndarray, k: int) -> np.ndarray:
         if k % 2 and self.pipe and self.pipe.readinto(self.block) == self.block.nbytes:
@@ -283,16 +283,11 @@ class _Run:
             pipe.flush()
 
 
-def _average(W: np.ndarray) -> np.ndarray:
-    """Every node row replaced by the mean over nodes, reduced in ascending node order."""
-    return np.repeat(np.add.reduce(W, axis=1, keepdims=True) / W.shape[1], W.shape[1], axis=1)
-
-
 def _one_round(algorithm: Algorithm, weights, datasets, config: OptimizerConfig, round_index: int = 0, graph=None):
     """One round of ``algorithm`` for one cell: the one-round case of :func:`train_cells`'s loop."""
     W = _as_stack(weights, datasets, graph)[None]
     laplacians = None if graph is None else graph.laplacian()[None]
-    return _Run(algorithm, W, datasets, [config], laplacians).step(W, round_index)[0]
+    return np.broadcast_to(_Run(algorithm, W, datasets, [config], laplacians).step(W, round_index), W.shape)[0].copy()
 
 
 def fedsgd_round(
@@ -408,7 +403,7 @@ def train_cells(
     if deferred:
         cell = lambda c: (points[:, c : c + 1], run.train, edges and edges[c : c + 1], alphas[c : c + 1], max(1, batch))
         scores = [functools.partial(_score_later, np.geterr(), *cell(c)) for c in range(len(configs))]
-    return W, [TrainingTrace(rounds.copy(), s) for s in scores]
+    return np.broadcast_to(W, points.shape[1:]).copy(), [TrainingTrace(rounds.copy(), s) for s in scores]
 
 
 def _score(scores, points, parts, edges, alphas, batch) -> list[tuple[list, list]]:

@@ -649,6 +649,40 @@ class TestLoadSyntheticSpec:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("mode", ["run", "grid"])
+    def test_report_reads_the_record_and_scores_test_once(self, tmp_path, monkeypatch, mode):
+        # train and val come from training; the report scores the test split in one call for every cell
+        split_parts, losses, metrics = experiment_harness._split_parts, experiment_harness._losses, experiment_harness._metrics
+        splits, scored, blocks = {}, [], []
+
+        def tagged_split_parts(datasets, split, W):
+            parts = split_parts(datasets, split, W)
+            splits[id(parts)] = split
+            return parts
+
+        def counted_losses(parts, W):
+            scored.append((splits[id(parts)], W.shape[0]))
+            return losses(parts, W)
+
+        def recorded_metrics(cell, test, datasets):
+            blocks.append((cell, datasets, metrics(cell, test, datasets)))
+            return blocks[-1][-1]
+
+        def no_evaluate(*args, **kwargs):
+            raise AssertionError("the report scored a split again")
+
+        monkeypatch.setattr(experiment_harness, "_split_parts", tagged_split_parts)
+        monkeypatch.setattr(experiment_harness, "_losses", counted_losses)
+        monkeypatch.setattr(experiment_harness, "_metrics", recorded_metrics)
+        monkeypatch.setattr(experiment_harness, "evaluate", no_evaluate)
+        result = run_experiment(synthetic_config(tmp_path), tmp_path / "out", mode=mode)
+        cells = (1, 1, 1) if mode == "run" else (8, 2, 2)  # fedsgd's 2 x 2 x 2 grid is connected
+        assert scored == [("val", c) for c in cells] + [("test", 3)]
+        monkeypatch.undo()
+        for (cell, datasets, block), reported in zip(blocks, result["report"].blocks, strict=True):
+            assert reported == block == evaluate(cell.weights, datasets, cell.algorithm, block.hyperparameters).blocks[0]
+        assert [block.algorithm for block in result["report"].blocks] == ["fedsgd", "fedavg1", "fedavg2"]
+
     def test_run_mode_artifacts(self, tmp_path):
         cfg = synthetic_config(tmp_path)
         out = tmp_path / "out"
@@ -960,18 +994,29 @@ class TestRunExperiment:
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
         assert [p.name for p in out.parent.iterdir()] == ["out"]  # staging removed
 
-    def test_failed_commit_removes_the_out_dir_it_created(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def locked_manifest(self, monkeypatch):
+        """Every commit fails at its last move, manifest.json's, after graph.edges has moved."""
         move = Path.replace
 
         def failing_move(self, target):
-            if Path(target).name == "manifest.json":  # after graph.edges has moved
+            if Path(target).name == "manifest.json":
                 raise PermissionError("manifest.json is locked")
             return move(self, target)
 
         monkeypatch.setattr(Path, "replace", failing_move)
+
+    def test_failed_commit_removes_the_out_dir_it_created(self, tmp_path, locked_manifest):
         with pytest.raises(PermissionError, match="locked"):
             run_experiment(synthetic_config(tmp_path), tmp_path / "runs" / "out", mode="graph")
-        assert list((tmp_path / "runs").iterdir()) == []
+        assert not (tmp_path / "runs").exists()  # nor the parent that mkdir made for it
+
+    def test_failed_commit_keeps_the_parent_that_existed(self, tmp_path, locked_manifest):
+        (tmp_path / "runs").mkdir()
+        (tmp_path / "runs" / "keep.txt").write_text("earlier run")
+        with pytest.raises(PermissionError, match="locked"):
+            run_experiment(synthetic_config(tmp_path), tmp_path / "runs" / "new" / "out", mode="graph")
+        assert [p.name for p in (tmp_path / "runs").iterdir()] == ["keep.txt"]
 
     @pytest.mark.parametrize("dump_data", [False, True])
     @pytest.mark.parametrize("mode", ["run", "grid", "graph"])
@@ -1123,6 +1168,27 @@ class TestCli:
         assert f"config error: {message}" in result.output
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, body, message",
+        [
+            (mode, f"{key} = 0", f"{key} must be >= 1, got 0")
+            for mode in ("run", "grid") for key in ("batch_size", "max_iterations", "trace_every")
+        ]
+        + [("run", "eta = nan", "eta must be positive and finite, got nan"), ("run", "alpha = -1", "alpha must be non-negative and finite, got -1.0")],
+    )
+    def test_out_of_range_setting_exits_2_before_any_data_loads(self, tmp_path, monkeypatch, mode, body, message):
+        def no_load(cfg):
+            raise AssertionError("data loaded before the settings were checked")
+
+        monkeypatch.setattr(experiment_harness, "_load_datasets", no_load)
+        write_spec(tmp_path)
+        cfg = write_config(tmp_path, f"[data]\nsynthetic = spec.json\n\n[optimizer]\n{body}\n")
+        out = tmp_path / "out"
+        result = self.run_cli(mode, "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"config error: {message}\n"
         assert not out.exists()
 
     def test_missing_data_exits_3(self, tmp_path):

@@ -22,7 +22,7 @@ from fedgtv.fed_optimizers import (
     train,
     train_cells,
 )
-from fedgtv.model_core import _mse_rows, least_squares_fit, mse_gradient, mse_loss, proximal_step
+from fedgtv.model_core import _mse_rows, _proximal_system, least_squares_fit, mse_gradient, mse_loss, proximal_step
 
 
 def make_ds(X, y, node_id=1):
@@ -330,6 +330,79 @@ class TestFedavgV2Round:
         v /= math.sqrt(7.0)
         W, _ = train(datasets, None, OptimizerConfig("fedavg2", eta=eta, max_iterations=1000))
         assert np.max(np.abs(W @ v)) <= 1e-10
+
+
+def rounds_to_converge(eigenvalues) -> int:
+    """Rounds K with rho^K <= 1e-13, rho the largest |eigenvalue| of a symmetric iteration map off its eigenvalue 1.
+
+    Eigenvalue 1 belongs to a direction no node's data sees (the public
+    layout's null direction), which an iterate from zero never enters.
+    """
+    rho = max(abs(e) for e in eigenvalues if abs(1.0 - e) > 1e-9)
+    return math.ceil(math.log(1e-13) / math.log(rho))
+
+
+class TestExactTargets:
+    """From zero, each algorithm reaches its exact target, the minimum-norm solve by ``np.linalg.lstsq``.
+
+    The round count K comes from the contraction rho of the iteration map:
+    rho^K <= 1e-13 bounds the error left by the map, so the rest is rounding.
+    """
+
+    @pytest.fixture(params=["gaussian", "public_layout"])
+    def datasets(self, request, public_design):
+        rng = np.random.default_rng(5)
+        rows = (40, 50, 60, 70)
+        if request.param == "gaussian":
+            parts = [(rng.standard_normal((m, 3)), rng.standard_normal(m)) for m in rows]
+        else:
+            parts = [public_design(rng, m) for m in rows]
+        return [make_ds(X, y, node_id=i + 1) for i, (X, y) in enumerate(parts)]
+
+    @staticmethod
+    def hessians(datasets):
+        """Each node's (2/m) X^T X and (2/m) X^T y: the Hessian and right-hand side of its MSE's stationarity."""
+        parts = [ds.train for ds in datasets]
+        return np.array([2.0 / len(y) * (X.T @ X) for X, y in parts]), np.array([2.0 / len(y) * (X.T @ y) for X, y in parts])
+
+    @staticmethod
+    def assert_reaches(W, target):
+        target = np.broadcast_to(target, W.shape)  # an averaging variant's server model on every node row
+        assert np.linalg.norm(W - target) <= 1e-12 * np.linalg.norm(target)
+
+    def test_full_batch_fedsgd_reaches_the_gtvmin_optimum(self, datasets):
+        # (blockdiag H_i + 2 alpha L (x) I) w = g on a path graph
+        H, g = self.hessians(datasets)
+        n, d = g.shape
+        graph = graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        alpha = 0.5
+        A = np.kron(2.0 * alpha * graph.laplacian(), np.eye(d))
+        for i in range(n):
+            A[i * d : (i + 1) * d, i * d : (i + 1) * d] += H[i]
+        lam = np.linalg.eigvalsh(A)
+        eta = 1.0 / lam[-1]
+        K = rounds_to_converge(1.0 - eta * lam)
+        batch = max(len(ds.train[1]) for ds in datasets) + 1  # every node steps on its full training split
+        W, _ = train(datasets, graph, OptimizerConfig("fedsgd", eta, alpha, batch, max_iterations=K, trace_every=K))
+        self.assert_reaches(W, np.linalg.lstsq(A, g.ravel(), rcond=None)[0].reshape(n, d))
+
+    def test_fedavg1_reaches_the_pooled_stationary_point(self, datasets):
+        # (sum_i H_i) w = sum_i g_i
+        H, g = self.hessians(datasets)
+        lam = np.linalg.eigvalsh(H.mean(axis=0))
+        eta = 1.0 / lam[-1]
+        K = rounds_to_converge(1.0 - eta * lam)
+        W, _ = train(datasets, None, OptimizerConfig("fedavg1", eta, max_iterations=K, trace_every=K))
+        self.assert_reaches(W, np.linalg.lstsq(H.sum(axis=0), g.sum(axis=0), rcond=None)[0])
+
+    def test_fedavg2_reaches_its_fixed_point(self, datasets):
+        # each node's step is c_i + P_i w, so the fixed point solves (I - mean P_i) w = mean c_i
+        xtx, xty, m = map(np.array, zip(*(ds.train_gram for ds in datasets)))
+        offset, gain = _proximal_system(xtx, xty, m, np.array(1.0))
+        P = gain.mean(axis=0)
+        K = rounds_to_converge(np.linalg.eigvalsh(P))
+        W, _ = train(datasets, None, OptimizerConfig("fedavg2", 1.0, max_iterations=K, trace_every=K))
+        self.assert_reaches(W, np.linalg.lstsq(np.eye(len(P)) - P, offset.mean(axis=0), rcond=None)[0])
 
 
 class TestStackedCells:
