@@ -29,14 +29,14 @@ mini-batch is drawn once and shared by all cells of a grid, and each cell's
 result is bitwise identical to training it alone.
 
 Each call builds one per-run context before its first round. It runs the
-input checks once (shapes, an empty split naming its node) and holds what
-every round shares: the per-cell eta and alpha, the Laplacians, each node's
-checked training arrays, the stacked ``train_gram`` statistics and fedavg2's
-closed-form steps, affine maps of the anchor from one eigendecomposition per
-node. A round then only steps the weights, through the unchecked
-kernels that :func:`~fedgtv.model_core.mse_gradient`,
-:func:`~fedgtv.model_core.mse_loss` and
-:func:`~fedgtv.model_core.proximal_step_gram` call after their checks. A
+input checks once (shapes, an empty split naming its node, fedsgd's graphs)
+and holds what every round shares: the per-cell eta and alpha, fedsgd's
+Laplacians and edge lists, each node's checked training arrays, the stacked
+``train_gram`` statistics and fedavg2's closed-form steps, affine maps of the
+anchor from one eigendecomposition per node. A round then only steps the
+weights, through the unchecked kernels that
+:func:`~fedgtv.model_core.mse_gradient`, :func:`~fedgtv.model_core.mse_loss`
+and :func:`~fedgtv.model_core.proximal_step_gram` call after their checks. A
 public round builds the same context for one cell and takes one step.
 Nothing is cached between calls.
 
@@ -46,7 +46,8 @@ stacked dot of each residual row with itself: a fixed number of numpy calls
 per node whatever the batch size, each value bitwise what scoring the point
 alone gives. A :func:`train_cells` call of several cells whose trace points
 fit in the training features' size scores each cell's trace only on first
-read, so a grid never scores a losing cell's.
+read, so a grid never scores a losing cell's. A score that overflows is
+``inf`` or NaN, with no warning; a training step keeps the caller's errstate.
 """
 from __future__ import annotations
 
@@ -61,9 +62,8 @@ import numpy as np
 from .data_pipeline import LocalDataset, _forked
 from .empirical_graph import EmpiricalGraph
 from .errors import DegenerateInputError, FedGTVError, ParameterError, ShapeError
-# The rounds call the unchecked kernels; mse_gradient, mse_loss and
-# proximal_step_gram stay importable here because the benchmark's tracer wraps
-# them at this path.
+# The rounds call the unchecked kernels; mse_gradient, mse_loss and proximal_step_gram
+# stay importable here because the benchmark's tracer wraps them at this path.
 from .model_core import (  # noqa: F401
     _as_weights,
     _as_xy,
@@ -177,10 +177,13 @@ def _edges(graph: EmpiricalGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gtv(losses: np.ndarray, W: np.ndarray, edges, alpha: float) -> float:
-    """One cell's GTV objective: its node ``losses`` summed, plus ``alpha`` times its :func:`_edges` penalty."""
-    ii, jj = edges
-    diff = W[ii] - W[jj]
-    return sum(losses.tolist()) + alpha * float(np.sum(diff * diff))
+    """One cell's trace objective, ``inf`` or NaN on overflow with no warning: for fedsgd its node ``losses``
+    summed, plus ``alpha`` times its :func:`_edges` penalty; for the averaging variants (``edges`` None) their mean."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if edges is None:
+            return float(losses.mean())
+        diff = W[edges[0]] - W[edges[1]]
+        return sum(losses.tolist()) + alpha * float(np.sum(diff * diff))
 
 
 def _split_parts(datasets: Sequence[LocalDataset], split: str, W: np.ndarray) -> list[tuple]:
@@ -192,11 +195,12 @@ def _split_parts(datasets: Sequence[LocalDataset], split: str, W: np.ndarray) ->
 
 
 def _losses(parts: Sequence[tuple], W: np.ndarray) -> np.ndarray:
-    """(C, n) ``mse_loss`` of each cell of ``W`` at each node's part, NaN where the part is empty; unchecked."""
+    """(C, n) ``mse_loss`` of each cell of ``W`` at each node's part, NaN where the part is empty; unchecked, never warns."""
     out = np.full(W.shape[:2], np.nan)
-    for i, (X, y) in enumerate(parts):
-        if len(y):
-            out[:, i] = _mse_rows(X, y, W[:, i])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (X, y) in enumerate(parts):
+            if len(y):
+                out[:, i] = _mse_rows(X, y, W[:, i])
     return out
 
 
@@ -207,6 +211,8 @@ def gtv_objective(weights, datasets: Sequence[LocalDataset], graph: EmpiricalGra
     consequently its gradient contribution at node i is
     ``2 * alpha * sum_{j in N(i)} (w_i - w_j)``.
     """
+    if graph is None:
+        raise ParameterError("gtv_objective requires an empirical graph")
     W = _as_stack(weights, datasets, graph)[None]
     parts = _split_parts(datasets, "train", W)
     for ds, (_, y) in zip(datasets, parts):
@@ -218,15 +224,16 @@ def gtv_objective(weights, datasets: Sequence[LocalDataset], graph: EmpiricalGra
 class _Run:
     """The per-run context (see the module docstring) of one algorithm.
 
-    Built from the (C, n, d) weight stack ``W``, which it checks every
-    node's training split against, the C cell configs and, for fedsgd, the
-    (C, n, n) Laplacians. :meth:`step` moves the weights one round; the
-    checked training parts ``train`` are what :func:`_losses` scores.
+    Built from the (C, n, d) weight stack ``W``, which it checks every node's
+    training split against, the C cell configs and their graphs: fedsgd checks
+    them and keeps their (C, n, n) Laplacians and :func:`_edges` in ``edges``,
+    None for the averaging variants. :meth:`step` moves the weights one round;
+    the checked training parts ``train`` are what :func:`_losses` scores.
     """
 
-    def __init__(self, algorithm: Algorithm, W: np.ndarray, datasets, configs, laplacians=None):
+    def __init__(self, algorithm: Algorithm, W: np.ndarray, datasets, configs, graphs):
         shared = configs[0]
-        self.algorithm = algorithm
+        self.algorithm, self.edges = algorithm, None
         eta, alpha = np.array([(c.eta, c.alpha) for c in configs]).T
         self.eta = eta[:, None, None]
         self.train = _split_parts(datasets, "train", W)
@@ -236,10 +243,13 @@ class _Run:
             self.system = _proximal_system(self.xtx, self.xty, m, eta[:, None])
             return
         if algorithm is Algorithm.FEDSGD:
-            if laplacians.shape[-1] != W.shape[1]:
-                raise ShapeError(f"graph has {laplacians.shape[-1]} nodes but weight stack has {W.shape[1]}")
+            for graph in graphs:
+                if graph is None:
+                    raise ParameterError("fedsgd requires an empirical graph")
+                if graph.n != W.shape[1]:
+                    raise ShapeError(f"graph has {graph.n} nodes but weight stack has {W.shape[1]}")
+            self.laplacians, self.edges = np.stack([g.laplacian() for g in graphs]), [_edges(g) for g in graphs]
             self.seed, self.batch_size = shared.seed, shared.batch_size
-            self.laplacians = laplacians
             self.two_alpha = (2.0 * alpha)[:, None, None]
             # a node larger than its batch overwrites its statistics slots with the drawn batch's each round
             self.sampled = [(i, *self.train[i], datasets[i].node_id) for i in np.flatnonzero(m > self.batch_size)]
@@ -285,9 +295,10 @@ class _Run:
 
 def _one_round(algorithm: Algorithm, weights, datasets, config: OptimizerConfig, round_index: int = 0, graph=None):
     """One round of ``algorithm`` for one cell: the one-round case of :func:`train_cells`'s loop."""
-    W = _as_stack(weights, datasets, graph)[None]
-    laplacians = None if graph is None else graph.laplacian()[None]
-    return np.broadcast_to(_Run(algorithm, W, datasets, [config], laplacians).step(W, round_index), W.shape)[0].copy()
+    if config.algorithm is not algorithm:
+        raise ParameterError(f"a {algorithm.value} round got a {config.algorithm.value} config")
+    W = _as_stack(weights, datasets)[None]
+    return np.broadcast_to(_Run(algorithm, W, datasets, [config], [graph]).step(W, round_index), W.shape)[0].copy()
 
 
 def fedsgd_round(
@@ -353,9 +364,9 @@ def train_cells(
     labels, and each value is bitwise that of scoring the point alone. With
     C > 1, while the trace points' weight stacks (points * C * n * d floats)
     fit in the training features (sum_i m_i * d), each trace keeps its own
-    and scores them, by the one-cell P, when first read, under this call's
-    ``np.geterr()`` state; otherwise each batch is scored once trained. An
-    input check that fails while the context is built is re-raised as round
+    and scores them, by the one-cell P, when first read; otherwise each
+    batch is scored once trained. An input check that fails while the
+    context is built, a missing fedsgd graph too, is re-raised as round
     0's, e.g. ``round 0: node 1: empty training split``.
     """
     if len(datasets) == 0:
@@ -366,14 +377,8 @@ def train_cells(
         raise ParameterError("a cell stack needs one or more cells that differ only in eta and alpha")
     W = np.zeros((len(configs), len(datasets), datasets[0].train[0].shape[1]))
     config = configs[0]
-    laplacians = edges = None
-    if config.algorithm is Algorithm.FEDSGD:
-        if None in graphs:
-            raise ParameterError("fedsgd requires an empirical graph")
-        laplacians = np.stack([g.laplacian() for g in graphs])
-        edges = [_edges(g) for g in graphs]
     try:
-        run = _Run(config.algorithm, W, datasets, configs, laplacians)
+        run = _Run(config.algorithm, W, datasets, configs, graphs)
     except FedGTVError as exc:
         raise type(exc)(f"round 0: {exc}") from exc
     rows = [len(y) for _, y in run.train]
@@ -394,15 +399,15 @@ def train_cells(
                 points[kept] = W
                 rounds.append(k + 1)
                 if not deferred and (kept + 1 == len(points) or k + 1 == config.max_iterations):
-                    _score(scores, points[: kept + 1], run.train, edges, alphas, len(points))
+                    _score(scores, points[: kept + 1], run.train, run.edges, alphas, len(points))
         return W
 
     draws = config.algorithm is Algorithm.FEDSGD and len(run.rows) * config.max_iterations
     forked = draws and draws >= _HELPER_DRAWS and _forked(functools.partial(run._send_draws, config.max_iterations), trained)
     W = forked[0] if forked else trained(None)
-    if deferred:
-        cell = lambda c: (points[:, c : c + 1], run.train, edges and edges[c : c + 1], alphas[c : c + 1], max(1, batch))
-        scores = [functools.partial(_score_later, np.geterr(), *cell(c)) for c in range(len(configs))]
+    if deferred:  # the arguments are bound now: a trace must not keep the run context alive
+        cell = lambda c: (points[:, c : c + 1], run.train, run.edges and run.edges[c : c + 1], alphas[c : c + 1], max(1, batch))
+        scores = [lambda args=cell(c): _score([([], [])], *args)[0] for c in range(len(configs))]
     return np.broadcast_to(W, points.shape[1:]).copy(), [TrainingTrace(rounds.copy(), s) for s in scores]
 
 
@@ -413,15 +418,9 @@ def _score(scores, points, parts, edges, alphas, batch) -> list[tuple[list, list
         losses = _losses(parts, chunk.reshape((-1,) + chunk.shape[2:])).reshape(chunk.shape[:3])
         for W, point_losses in zip(chunk, losses):
             for c, (objective, node_losses) in enumerate(scores):
-                objective.append(_gtv(point_losses[c], W[c], edges[c], alphas[c]) if edges else float(point_losses[c].mean()))
+                objective.append(_gtv(point_losses[c], W[c], edges and edges[c], alphas[c]))
                 node_losses.append(point_losses[c])
     return scores
-
-
-def _score_later(state: dict, *args) -> tuple[list, list]:
-    """One cell's deferred :func:`_score`, under the ``np.geterr()`` ``state`` it trained in."""
-    with np.errstate(**state):
-        return _score([([], [])], *args)[0]
 
 
 def train(

@@ -17,7 +17,7 @@ from conftest import load_perfbench_inputs
 
 from fedgtv import experiment_harness, fed_optimizers
 from fedgtv.cli import main
-from fedgtv.data_pipeline import CsvSchema, LocalDataset, SyntheticSpec, generate_synthetic
+from fedgtv.data_pipeline import CsvSchema, LocalDataset, SyntheticSpec, generate_synthetic, split_dataset
 from fedgtv.errors import (
     ConfigError,
     DegenerateInputError,
@@ -183,6 +183,12 @@ class TestGridSpec:
 
 
 class TestEvaluate:
+    def test_overflowing_weights_score_inf_without_warning(self):
+        # the suite turns every RuntimeWarning into an error
+        block = evaluate(np.full((4, 3), 1e200), cluster_datasets()).blocks[0]
+        assert block.train_mse == block.val_mse == block.test_mse == (math.inf,) * 4
+        assert block.mean_test == math.inf
+
     def test_zero_weights_score_label_second_moment(self):
         datasets = cluster_datasets()
         report = evaluate(np.zeros((4, 3)), datasets)
@@ -1466,6 +1472,34 @@ class TestCli:
         scores = {tuple(row.split(",")[:4]): row.rsplit(",", 1)[1] for row in rows}
         assert scores.pop(("fedsgd", "0.1", "5", "2")) == scores.pop(("fedavg1", "", "5", "")) == "nan"
         assert len(scores) == 4 and all(math.isfinite(float(v)) for v in scores.values())
+
+    def test_overflowing_test_score_writes_null_and_nothing_to_stderr(self, tmp_path):
+        # fedavg1 at 2.5 / lambda_max of the mean (2/m_i) X_i^T X_i, on a stand-in
+        # whose node A has glucose 1e7 in its first test row: training ends
+        # finite near 1e304, and node A's test MSE overflows; a fresh
+        # interpreter, so that a numpy RuntimeWarning would show on stderr
+        los_inputs = load_perfbench_inputs()
+        los = los_inputs.write_los(1, tmp_path, los_inputs.LosShape((("A", 60), ("B", 60)), malformed_per_kind=0))
+        csv_path = tmp_path / "los.csv"
+        lines = csv_path.read_text().splitlines()
+        header = lines[0].split(",")
+        rows_a = [k for k, line in enumerate(lines) if line.split(",")[header.index("facid")] == "A"]
+        k = rows_a[split_dataset(60, los.split_seed)[2][0]]  # node A's first test row
+        row = lines[k].split(",")
+        row[header.index("glucose")] = "1e7"
+        lines[k] = ",".join(row)
+        csv_path.write_text("\n".join(lines) + "\n")
+        with open(los.config, "a") as f:
+            f.write("\n[optimizer]\nalgorithm = fedavg1\neta = 0.5169488156737561\nmax_iterations = 860\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedgtv.cli", "run", "--config", str(los.config), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        (block,) = json.loads((tmp_path / "out" / "metrics.json").read_text())["algorithms"]
+        assert all(math.isfinite(v) for v in block["train_mse"] + block["val_mse"])
+        assert block["test_mse"][0] is None and math.isfinite(block["test_mse"][1])
 
     def test_huge_eta_fedavg2_run_is_the_large_eta_limit(self, tmp_path):
         # a pull 2/eta below the rounding level of the rank-deficient layout; a

@@ -120,6 +120,18 @@ class TestGtvObjective:
         with pytest.raises(ShapeError, match="2 weight rows for 3 datasets"):
             gtv_objective(np.zeros((2, 3)), datasets, graph, alpha=0.1)
 
+    def test_missing_graph_rejected(self):
+        with pytest.raises(ParameterError, match="requires an empirical graph"):
+            gtv_objective(np.zeros((3, 3)), synthetic_datasets(), None, alpha=0.1)
+
+    def test_overflowing_weights_score_inf_without_warning(self):
+        # the suite turns every RuntimeWarning into an error
+        datasets = synthetic_datasets()
+        graph = graph_from_edges(3, [(0, 1), (1, 2)])
+        W = np.array([[1e300, 0.0, 0.0], [-1e300, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert gtv_objective(W, datasets, graph, alpha=0.1) == math.inf
+        assert gtv_objective(np.tile([1e200, 0.0, 0.0], (3, 1)), datasets, graph, alpha=0.0) == math.inf
+
 
 class TestFedsgdRound:
     def test_alpha_zero_full_batch_equals_isolated_gd_step(self):
@@ -208,6 +220,11 @@ class TestFedsgdRound:
             per_edge = 2 * 0.3 * sum(W[i] - W[j] for j in graph.neighbors(i))
             np.testing.assert_allclose(out[i], W[i] - 0.1 * per_edge, rtol=1e-14, atol=1e-14)
         assert np.array_equal(out[4], W[4])
+
+    def test_missing_graph_rejected(self):
+        config = OptimizerConfig("fedsgd", eta=0.01)
+        with pytest.raises(ParameterError, match="^fedsgd requires an empirical graph$"):
+            fedsgd_round(np.zeros((3, 3)), synthetic_datasets(), None, config, 0)
 
     def test_empty_train_split_rejected(self):
         empty = make_ds(np.zeros((0, 2)), np.zeros(0), 1)
@@ -330,6 +347,22 @@ class TestFedavgV2Round:
         v /= math.sqrt(7.0)
         W, _ = train(datasets, None, OptimizerConfig("fedavg2", eta=eta, max_iterations=1000))
         assert np.max(np.abs(W @ v)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "round_algorithm, config_algorithm", [(r, c) for r in Algorithm for c in Algorithm if r is not c], ids=lambda a: a.value
+)
+def test_round_rejects_a_config_of_another_algorithm(round_algorithm, config_algorithm):
+    # a fedavg1 config's eta of 1e-309 would skip fedavg2's finite-2/eta check and give NaN rows
+    datasets = synthetic_datasets()
+    config = OptimizerConfig(config_algorithm, eta=0.1 if config_algorithm is Algorithm.FEDAVG2 else 1e-309)
+    one_round = {
+        Algorithm.FEDSGD: lambda W: fedsgd_round(W, datasets, graph_from_edges(3, [(0, 1), (1, 2)]), config, 0),
+        Algorithm.FEDAVG1: lambda W: fedavg_v1_round(W, datasets, config),
+        Algorithm.FEDAVG2: lambda W: fedavg_v2_round(W, datasets, config),
+    }[round_algorithm]
+    with pytest.raises(ParameterError, match=f"^a {round_algorithm.value} round got a {config_algorithm.value} config$"):
+        one_round(np.zeros((3, 3)))
 
 
 def rounds_to_converge(eigenvalues) -> int:
@@ -521,8 +554,25 @@ class TestTrain:
     def test_fedsgd_requires_graph(self):
         datasets = synthetic_datasets()
         config = OptimizerConfig("fedsgd", eta=0.01)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^round 0: fedsgd requires an empirical graph$"):
             train(datasets, None, config)
+
+    @pytest.mark.parametrize(
+        "sizes, error, text",
+        [
+            ((3, 2), ShapeError, "graph has 2 nodes but weight stack has 3"),
+            ((2, 3), ShapeError, "graph has 2 nodes but weight stack has 3"),
+            ((3, None), ParameterError, "fedsgd requires an empirical graph"),
+        ],
+        ids=["second_too_small", "first_too_small", "second_missing"],
+    )
+    def test_every_graph_of_a_cell_stack_checked(self, sizes, error, text):
+        # not numpy's error from stacking Laplacians of two sizes
+        datasets = synthetic_datasets()
+        graphs = [n and graph_from_edges(n, [(0, 1)]) for n in sizes]
+        configs = [OptimizerConfig("fedsgd", eta=0.01, alpha=alpha) for alpha in (0.1, 0.2)]
+        with pytest.raises(error, match=f"^round 0: {text}$"):
+            train_cells(datasets, graphs, configs)
 
     def test_projection_invariant_final_weights(self):
         datasets = synthetic_datasets(n=4)
@@ -677,19 +727,23 @@ class TestTrain:
             assert trace.rounds == solo.rounds and objective == solo.objective
             assert np.array_equal(node_losses, solo.node_losses)
 
-    def test_deferred_trace_scores_under_the_callers_error_state(self):
-        # a diverged cell's trace, read where no errstate is active, warns no
-        # more than scoring it while training, under the caller's errstate,
-        # does; the suite turns every RuntimeWarning into an error
+    def test_deferred_trace_of_a_diverged_cell_reads_without_warning(self):
+        # a diverged cell's trace, read where no errstate is active, scores
+        # what its solo, eager run scores and warns no more: the suite turns
+        # every RuntimeWarning into an error. fedsgd's objective adds the
+        # edge penalty of the diverged weights.
         datasets = synthetic_datasets()
-        configs = [OptimizerConfig("fedavg1", eta, max_iterations=40, trace_every=10) for eta in (0.05, 1e9)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, traces = train_cells(datasets, [None, None], configs)
-            _, eager = train(datasets, None, configs[1])
-        assert np.isfinite(traces[0].objective).all()
-        assert not np.isfinite(traces[1].objective[-1])
-        assert np.array_equal(traces[1].objective, eager.objective, equal_nan=True)
-        assert np.array_equal(traces[1].node_losses, eager.node_losses, equal_nan=True)
+        graph = graph_from_edges(3, [(0, 1), (1, 2)])
+        for algorithm in ("fedavg1", "fedsgd"):
+            configs = [OptimizerConfig(algorithm, eta, alpha=0.1, max_iterations=40, trace_every=10) for eta in (0.05, 1e9)]
+            with np.errstate(over="ignore", invalid="ignore"):  # the training steps overflow
+                _, traces = train_cells(datasets, [graph, graph], configs)
+                _, eager = train(datasets, graph, configs[1])
+            assert callable(traces[1]._scores)  # not scored yet
+            assert np.isfinite(traces[0].objective).all()
+            assert not np.isfinite(traces[1].objective[-1])
+            assert np.array_equal(traces[1].objective, eager.objective, equal_nan=True)
+            assert np.array_equal(traces[1].node_losses, eager.node_losses, equal_nan=True)
 
     def test_full_batch_tracks_row_form_on_public_layout(self, public_design):
         # the null direction of the rank-18 layout (rcount slots minus intercept)

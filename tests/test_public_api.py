@@ -1,4 +1,4 @@
-"""Guards for the package's single declarations: each module's ``__all__`` and each error's ``exit_code``."""
+"""Guards for the package's single declarations: each module's ``__all__`` and imports, and each error's ``exit_code``."""
 import ast
 import inspect
 import json
@@ -25,7 +25,8 @@ from fedgtv.errors import (
     SplitError,
 )
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # In the order the package exports them.
 MODULES = [errors, data_pipeline, model_core, empirical_graph, fed_optimizers, experiment_harness]
@@ -70,6 +71,49 @@ def test_package_exports_each_module_all_once():
     namespace: dict = {}
     exec("from fedgtv import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(expected)
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names a module's imports bind that none of its code reads and its ``__all__`` does not list."""
+    tree = ast.parse(source)
+    imported, exported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return imported - exported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def tracer_hooks() -> dict[str, set[str]]:
+    """``perfbench/tracing.py``'s ``WRAPPED``, read from its source: the attributes the tracer wraps, by module."""
+    body = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8")).body
+    (wrapped,) = [
+        ast.literal_eval(node.value) for node in body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
+    ]
+    hooks: dict[str, set[str]] = {}
+    for module, attr in wrapped:
+        hooks.setdefault(module, set()).add(attr)
+    return hooks
+
+
+def test_unused_imports_finds_what_no_code_reads():
+    source = (
+        "from __future__ import annotations\nimport os, numpy as np\nimport a.b\nfrom .c import d, e, f as g\n"
+        "__all__ = ['e']\n\ndef h(x: d) -> None:\n    return np.zeros(a.b)\n"
+    )
+    assert unused_imports(source) == {"os", "g"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (ROOT / "src" / "fedgtv").glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.stem
+)
+def test_every_unused_import_is_a_tracer_hook(path):
+    # a module may import a name it never uses only so that the tracer can wrap it there
+    unused = unused_imports(path.read_text(encoding="utf-8"))
+    hooks = tracer_hooks().get(f"fedgtv.{path.stem}", set())
+    assert unused <= hooks, f"fedgtv.{path.stem} imports names it never uses: {sorted(unused - hooks)}"
 
 
 def readme_exit_codes() -> dict[str, int]:
