@@ -68,7 +68,7 @@ class ParameterError(FedGTVError):
 
 
 class NoFeasibleConfigError(FedGTVError):
-    """Every grid combination was rejected (e.g. all graphs disconnected)."""
+    """No grid cell of an algorithm has a finite validation MSE: every one diverged."""
     exit_code = 4
 
 

@@ -4,7 +4,7 @@ The harness ties the pipeline together: load (or generate) per-node datasets,
 build the empirical graph where needed, train one or more algorithms, and
 write deterministic artifacts (metrics report, training traces, graph edge
 list, run manifest) to an output directory. Hyperparameter search sweeps
-alpha x eta x degree for fedsgd (skipping degrees whose graph is disconnected)
+alpha x eta x degree for fedsgd, on connected and disconnected graphs alike,
 and eta alone for the averaging variants, picking the lowest mean validation
 MSE. ``run`` is the search's one-cell case: both train and score through one
 per-algorithm step, so neither prints a numpy warning.
@@ -135,15 +135,15 @@ class AlgorithmMetrics:
 
     @property
     def mean_train(self) -> float:
-        return float(np.mean(self.train_mse))
+        return _mean(self.train_mse)
 
     @property
     def mean_val(self) -> float:
-        return float(np.mean(self.val_mse))
+        return _mean(self.val_mse)
 
     @property
     def mean_test(self) -> float:
-        return float(np.mean(self.test_mse))
+        return _mean(self.test_mse)
 
     def to_dict(self) -> dict:
         """Strict-JSON ready: a non-finite score (an empty split's NaN) is None."""
@@ -187,6 +187,11 @@ class MetricsReport:
         return "\n".join(lines)
 
 
+def _mean(scores) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):  # a mean past the float range is inf, with no warning
+        return float(np.mean(scores))
+
+
 def _fmt_param(v) -> str:
     """An int as is; a float by ``:g`` where that reads back equal, else by its shortest round-trip repr."""
     if isinstance(v, (int, np.integer)):
@@ -226,11 +231,12 @@ def evaluate(
 class GridCell:
     """One grid cell: hyperparameters, validation score, and what it trained.
 
-    ``alpha``/``degree`` are None for the averaging variants. ``val_mse``, the
-    mean of the per-node ``val_losses``, is None when the cell was skipped
-    because its graph is disconnected. That row, the ``weights`` and ``trace``
-    it trained (None until then) and its ``graph`` (None for the averaging
-    variants) take no part in equality or ``repr``.
+    ``alpha``/``degree`` are None for the averaging variants, and
+    ``connected`` records whether the cell's graph is connected. ``val_mse``,
+    the mean of the per-node ``val_losses``, is None until the cell is
+    trained. That row, the ``weights`` and ``trace`` it trained (None until
+    then) and its ``graph`` (None for the averaging variants) take no part in
+    equality or ``repr``.
     """
 
     algorithm: str
@@ -261,14 +267,11 @@ class GridSearchResult:
 def select_best(cells: Sequence[GridCell]) -> GridCell:
     """Lowest finite validation MSE; ties broken by smaller eta, alpha, then degree.
 
-    Skipped (disconnected) and non-finite (diverged) cells are never selected.
+    Untrained (None) and non-finite (diverged) cells are never selected.
     """
     trained = [c for c in cells if c.val_mse is not None and math.isfinite(c.val_mse)]
     if not trained:
-        raise NoFeasibleConfigError(
-            "no grid candidate has a finite validation MSE "
-            "(every graph disconnected or every run diverged)"
-        )
+        raise NoFeasibleConfigError("no grid candidate has a finite validation MSE (every run diverged)")
     return min(
         trained,
         key=lambda c: (
@@ -289,20 +292,19 @@ def run_grid_search(
     seed: int = 42,
     trace_every: int = 50,
 ) -> GridSearchResult:
-    """Exhaustively train and score every feasible grid candidate.
+    """Exhaustively train and score every grid candidate.
 
-    fedsgd sweeps alpha x eta x degree; a degree whose union-kNN graph is
-    disconnected skips all its (alpha, eta) combinations, each recorded as an
-    untrained cell. The averaging variants sweep eta only. Each algorithm's
-    feasible cells train together in one :func:`train_cells` call, fresh
-    from zeros (no warm starts): every fedsgd (node, round) mini-batch is
-    drawn once and shared by all cells, and each cell's result is bitwise
-    identical to training it alone. Each trained cell keeps its weights,
-    and only each algorithm's winner its trace. Cells are recorded in
-    degree-major, then alpha, then eta order; selection does not depend on
-    that order. Raises SplitError, before any training, when a node has no
-    validation rows, and NoFeasibleConfigError when an algorithm has no
-    candidate with a finite validation MSE.
+    fedsgd sweeps alpha x eta x degree, on each degree's union-kNN graph
+    whether or not it is connected (``connected`` records which). The
+    averaging variants sweep eta only. Each algorithm's cells train together
+    in one :func:`train_cells` call, fresh from zeros (no warm starts):
+    every fedsgd (node, round) mini-batch is drawn once and shared by all
+    cells, and each cell's result is bitwise identical to training it alone.
+    Each cell keeps its weights, and only each algorithm's winner its
+    trace. Cells are recorded in degree-major, then alpha, then eta order;
+    selection does not depend on that order. Raises SplitError, before any
+    training, when a node has no validation rows, and NoFeasibleConfigError
+    when every cell of an algorithm diverged (no finite validation MSE).
     """
     if len(datasets) == 0:
         raise DegenerateInputError("no datasets to search over")
@@ -333,8 +335,7 @@ def run_grid_search(
                 ]
         else:
             candidates = [GridCell(algorithm.value, eta) for eta in grid.etas]
-        fits = iter(_train_step(datasets, [c for c in candidates if c.connected], settings))
-        algo_cells = [next(fits) if c.connected else c for c in candidates]
+        algo_cells = _train_step(datasets, candidates, settings)
         winner = best[algorithm.value] = select_best(algo_cells)
         cells += [c if c is winner else replace(c, trace=None) for c in algo_cells]  # a grid reads only its winners' traces
     return GridSearchResult(cells=cells, best=best)
@@ -346,8 +347,6 @@ def _train_step(datasets: Sequence[LocalDataset], cells: Sequence[GridCell], set
     A cell's eta and alpha (0 for None) and the shared ``settings`` make its OptimizerConfig. Returns the cells
     with their ``val_losses``, ``val_mse``, ``weights`` and ``trace``; a diverging cell scores non-finite, with no warning.
     """
-    if not cells:
-        return []
     configs = [OptimizerConfig(cell.algorithm, cell.eta, cell.alpha or 0.0, **settings) for cell in cells]
     with np.errstate(over="ignore", invalid="ignore"):
         W, traces = train_cells(datasets, [cell.graph for cell in cells], configs)
@@ -403,11 +402,13 @@ def _run_algorithms(raw: str) -> tuple[Algorithm, ...]:
     return algorithms
 
 
-def _seed(raw: str) -> int:
-    seed = int(raw)
-    if seed < 0:
-        raise ValueError(f"must be non-negative, got {seed}")
-    return seed
+def _int_at_least(low: int, rule: str):
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"must be {rule}, got {value}")
+        return value
+    return parse
 
 
 # Every typed config key: (section, key) -> (field, parser). A parser takes the
@@ -417,9 +418,9 @@ def _seed(raw: str) -> int:
 _CONFIG_KEYS = {
     ("data", "csv"): ("data_path", Path),
     ("data", "synthetic"): ("synthetic_path", Path),
-    ("preprocess", "seed"): ("seed", _seed),
+    ("preprocess", "seed"): ("seed", _int_at_least(0, "non-negative")),
     ("preprocess", "condition_columns"): ("condition_columns", _list_of(str)),
-    ("graph", "degree"): ("degree", int),
+    ("graph", "degree"): ("degree", _int_at_least(1, ">= 1")),  # n - 1 is checked once the data loads
     ("optimizer", "algorithm"): ("algorithms", _run_algorithms),
     ("optimizer", "eta"): ("eta", float),
     ("optimizer", "alpha"): ("alpha", float),
@@ -559,8 +560,7 @@ def _render_grid_csv(cells: Sequence[GridCell]) -> str:
     for c in cells:
         alpha = "" if c.alpha is None else _fmt_param(c.alpha)
         degree = "" if c.degree is None else str(c.degree)
-        val = "" if c.val_mse is None else f"{c.val_mse:.17g}"
-        lines.append(f"{c.algorithm},{alpha},{_fmt_param(c.eta)},{degree},{int(c.connected)},{val}")
+        lines.append(f"{c.algorithm},{alpha},{_fmt_param(c.eta)},{degree},{int(c.connected)},{c.val_mse:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -708,7 +708,6 @@ def run_experiment(
             "batch_size": cfg.batch_size, "max_iterations": cfg.max_iterations,
         }
         for algo in cfg.algorithms:
-            # the one difference from a grid cell: fedsgd trains on the configured graph even when it is disconnected
             fedsgd = algo is Algorithm.FEDSGD
             cell = GridCell(algo.value, cfg.eta, cfg.alpha, cfg.degree, graph=graph) if fedsgd else GridCell(algo.value, cfg.eta)
             fits += _train_step(datasets, [cell], settings)

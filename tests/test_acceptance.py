@@ -5,7 +5,8 @@ Criterion 7 exercises the public hospital length-of-stay benchmark and skips
 itself when the CSV is not present; set FEDGTV_LOS_CSV or place
 LengthOfStay.csv under tests/data/ to enable it. The paper grid also runs,
 pinned, on the benchmark's seeded public-format stand-in for that CSV, and
-on twelve small stand-ins that show where federation pays.
+on twelve small stand-ins that show where federation pays. The default grid
+also runs on small clustered nodes, the regime GTVMin is for.
 """
 
 import csv
@@ -16,15 +17,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from conftest import graph_from_edges, load_perfbench_inputs
 
+from fedgtv.cli import main
 from fedgtv.data_pipeline import LocalDataset, SyntheticSpec, generate_synthetic, load_preprocessed
 from fedgtv.empirical_graph import (
     build_knn_graph,
     discrepancy_matrix,
     pretrain_local_weights,
 )
-from fedgtv.experiment_harness import run_experiment
+from fedgtv.experiment_harness import load_synthetic_spec, run_experiment
 from fedgtv.fed_optimizers import (
     OptimizerConfig,
     fedavg_v1_round,
@@ -473,6 +476,56 @@ def test_where_federation_pays_on_small_stand_ins(tmp_path):
         f"{count(lambda local, pooled, sgd, *avg: sgd < local)}, pooled in "
         f"{count(lambda local, pooled, sgd, *avg: sgd < pooled)} and both averaging variants in "
         f"{count(lambda local, pooled, sgd, *avg: sgd < min(avg))}"
+    )
+
+
+# The default grid on small clustered nodes: 10 nodes of 20 rows, 8 features, two
+# clusters of five. Each algorithm's selected hyperparameters and mean
+# (train, val, test) MSE.
+GTVMIN_REGIME_SELECTED = {
+    "fedsgd": ({"alpha": 1.0, "eta": 0.1, "degree": 4}, (0.604151082758, 0.634625319239, 1.18934192748)),
+    "fedavg1": ({"eta": 0.1}, (3.08914634131, 1.89139987275, 3.72301672626)),
+    "fedavg2": ({"eta": 0.01}, (3.0891787552, 1.89385977689, 3.71599588683)),
+}
+# Mean test MSE of the local and of the pooled least-squares fit on the same nodes.
+GTVMIN_REGIME_LOCAL_POOLED = (1.74885116883, 3.72301672626)
+
+
+def test_gtvmin_regime_on_small_clustered_nodes(tmp_path):
+    # The kNN graph separates the two clusters at every degree of the grid, so
+    # every fedsgd cell trains on a disconnected graph, as GTVMin allows: its
+    # problem decouples into one per connected component.
+    rng = np.random.default_rng(0)
+    cluster_weights = [rng.standard_normal(8).tolist() for _ in range(4)][2:]
+    spec = {
+        "node_count": 10, "rows_per_node": [20] * 10, "feature_dim": 8, "cluster_assignment": [0] * 5 + [1] * 5,
+        "cluster_weights": cluster_weights, "noise_std": 1.0, "seed": 3,
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "exp.ini").write_text("[data]\nsynthetic = spec.json\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["grid", "--config", str(tmp_path / "exp.ini"), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    with (out / "grid.csv").open(newline="") as fh:
+        fedsgd_rows = [r for r in csv.DictReader(fh) if r["algorithm"] == "fedsgd"]
+    assert len(fedsgd_rows) == 36 and all(r["connected"] == "0" for r in fedsgd_rows)
+    blocks = {b["algorithm"]: b for b in json.loads((out / "metrics.json").read_text())["algorithms"]}
+    assert list(blocks) == list(GTVMIN_REGIME_SELECTED)
+    for name, (hyperparameters, means) in GTVMIN_REGIME_SELECTED.items():
+        assert blocks[name]["hyperparameters"] == hyperparameters
+        found = tuple(blocks[name]["mean"][split] for split in ("train", "val", "test"))
+        assert found == pytest.approx(means, rel=1e-9), name
+    datasets = generate_synthetic(load_synthetic_spec(tmp_path / "spec.json"))
+    local = np.mean([mse_loss(*ds.test, least_squares_fit(*ds.train)) for ds in datasets])
+    pooled_w = least_squares_fit(*(np.concatenate(part) for part in zip(*(ds.train for ds in datasets))))
+    pooled = np.mean([mse_loss(*ds.test, pooled_w) for ds in datasets])
+    assert (local, pooled) == pytest.approx(GTVMIN_REGIME_LOCAL_POOLED, rel=1e-9)
+    test = {name: block["mean"]["test"] for name, block in blocks.items()}
+    assert test["fedsgd"] < min(local, pooled, test["fedavg1"], test["fedavg2"])
+    print(
+        f"PASS GTVMin regime: on 10 small nodes in two clusters, every fedsgd graph disconnected, mean test MSE "
+        f"fedsgd {test['fedsgd']:.4f} below local {local:.4f}, pooled {pooled:.4f}, "
+        f"fedavg1 {test['fedavg1']:.4f} and fedavg2 {test['fedavg2']:.4f}"
     )
 
 

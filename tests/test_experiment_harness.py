@@ -27,8 +27,10 @@ from fedgtv.errors import (
     SchemaError,
 )
 from fedgtv.experiment_harness import (
+    AlgorithmMetrics,
     GridCell,
     GridSpec,
+    MetricsReport,
     evaluate,
     load_experiment_config,
     load_synthetic_spec,
@@ -189,6 +191,13 @@ class TestEvaluate:
         assert block.train_mse == block.val_mse == block.test_mse == (math.inf,) * 4
         assert block.mean_test == math.inf
 
+    def test_mean_past_the_float_range_reads_inf_without_warning(self):
+        # finite per-node scores whose sum overflows; the suite turns every RuntimeWarning into an error
+        block = AlgorithmMetrics("fedavg1", (1, 2), (1e308, 1e308), (1.0, 1.0), (1.0, 1.0), {})
+        assert block.mean_train == math.inf
+        assert block.to_dict()["mean"] == {"train": None, "val": 1.0, "test": 1.0}
+        assert MetricsReport([block]).to_text().splitlines()[-1].split() == ["mean", "inf", "1.000000", "1.000000"]
+
     def test_zero_weights_score_label_second_moment(self):
         datasets = cluster_datasets()
         report = evaluate(np.zeros((4, 3)), datasets)
@@ -348,11 +357,8 @@ def assert_cells_match_solo(datasets, cells, best, runs):
         )
         solo_val[key] = solo_val_mse
         solo_fits[key] = W_solo, solo
-    expected = [
-        replace(c, val_mse=solo_val[c.algorithm, c.eta, c.alpha, c.degree]) if c.connected else c
-        for c in cells
-    ]
-    assert len(solo_val) == sum(c.connected for c in cells)
+    expected = [replace(c, val_mse=solo_val[c.algorithm, c.eta, c.alpha, c.degree]) for c in cells]
+    assert len(solo_val) == len(cells)
     assert repr(cells) == repr(expected)  # repr keeps NaN cells comparable
     for name in best:
         assert best[name] == select_best([c for c in expected if c.algorithm == name])
@@ -368,13 +374,10 @@ class TestRunGridSearch:
         result = run_grid_search(datasets, grid, batch_size=5, max_iterations=30, trace_every=7)
         connected = {c.degree for c in result.cells if c.algorithm == "fedsgd" and c.connected}
         assert connected == {2, 3}
-        assert len(runs) == 2 * 2 * 2 + 2 + 2
+        assert len(runs) == 2 * 2 * 3 + 2 + 2  # the disconnected d = 1 cells train too
         solo = assert_cells_match_solo(datasets, result.cells, result.best, runs)
-        # each cell is one record: a winner keeps what it trained, a loser its weights, a skipped cell nothing
+        # each cell is one record: a winner keeps what it trained, a loser its weights
         for cell in result.cells:
-            if not cell.connected:
-                assert cell.weights is None and cell.trace is None and cell.val_mse is None
-                continue
             W_solo, trace_solo = solo[cell.algorithm, cell.eta, cell.alpha, cell.degree]
             assert np.array_equal(cell.weights, W_solo)
             if cell is result.best[cell.algorithm]:
@@ -425,10 +428,10 @@ class TestRunGridSearch:
         result = run_grid_search(datasets, grid, max_iterations=30)
         fed = [c for c in result.cells if c.algorithm == "fedsgd"]
         assert len(fed) == 2 * 2 * 2
-        # d=1 on two tight clusters of two gives two disjoint pairs
-        skipped = [c for c in fed if not c.connected]
-        assert {c.degree for c in skipped} == {1}
-        assert all(c.val_mse is None for c in skipped)
+        # d=1 on two tight clusters of two gives two disjoint pairs, which train as the others do
+        disconnected = [c for c in fed if not c.connected]
+        assert {c.degree for c in disconnected} == {1} and len(disconnected) == 2 * 2
+        assert all(c.weights.shape == (4, 3) and math.isfinite(c.val_mse) for c in disconnected)
         for name in ("fedavg1", "fedavg2"):
             assert sum(c.algorithm == name for c in result.cells) == 2
         assert set(result.best) == {"fedsgd", "fedavg1", "fedavg2"}
@@ -457,11 +460,19 @@ class TestRunGridSearch:
         assert len(result.cells) == 1
         assert result.best["fedsgd"] == result.cells[0]
 
-    def test_all_disconnected_raises(self):
+    def test_all_disconnected_grid_trains_and_selects(self):
         datasets = cluster_datasets()
-        grid = GridSpec(alphas=(0.1,), etas=(0.05,), degrees=(1,), algorithms=("fedsgd",))
-        with pytest.raises(NoFeasibleConfigError):
-            run_grid_search(datasets, grid, max_iterations=10)
+        grid = GridSpec(alphas=(0.1,), etas=(0.05, 0.01), degrees=(1,), algorithms=("fedsgd",))
+        result = run_grid_search(datasets, grid, max_iterations=10)
+        assert [c.connected for c in result.cells] == [False, False]
+        assert result.best["fedsgd"] == select_best(result.cells)
+        assert math.isfinite(result.best["fedsgd"].val_mse)
+
+    def test_all_diverged_raises(self):
+        datasets = cluster_datasets()
+        grid = GridSpec(alphas=(0.1,), etas=(5.0,), degrees=(1, 2), algorithms=("fedsgd",))
+        with pytest.raises(NoFeasibleConfigError, match=r"^no grid candidate has a finite validation MSE \(every run diverged\)$"):
+            run_grid_search(datasets, grid)  # 1,000 rounds at eta = 5 overflow every cell
 
     def test_degree_out_of_range(self):
         datasets = cluster_datasets()
@@ -868,17 +879,18 @@ class TestRunExperiment:
         metrics = (out / "metrics.json").read_text()
         assert "NaN" not in metrics and "Infinity" not in metrics
 
-    def test_run_matches_one_point_grid(self, tmp_path):
-        # run is the one-cell case of the grid's per-algorithm step
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_run_matches_one_point_grid(self, tmp_path, degree):
+        # run is the one-cell case of the grid's per-algorithm step, also on the disconnected d = 1 graph
         write_spec(tmp_path)
         cfg = write_config(
             tmp_path,
-            """\
+            f"""\
             [data]
             synthetic = spec.json
 
             [graph]
-            degree = 2
+            degree = {degree}
 
             [optimizer]
             eta = 0.05
@@ -888,7 +900,7 @@ class TestRunExperiment:
             [grid]
             etas = 0.05
             alphas = 0.1
-            degrees = 2
+            degrees = {degree}
             """,
         )
         run_experiment(cfg, tmp_path / "run", mode="run")
@@ -897,16 +909,12 @@ class TestRunExperiment:
             assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "grid" / name).read_bytes(), name
 
     def test_run_trains_fedsgd_on_disconnected_graph(self, tmp_path):
-        # the one difference from a grid cell: d = 1 splits the two clusters of two, and run still trains fedsgd
+        # d = 1 splits the two clusters of two, and run still trains fedsgd
         write_spec(tmp_path)
         body = "[data]\nsynthetic = spec.json\n\n[graph]\ndegree = 1\n\n[optimizer]\neta = 0.05\nmax_iterations = 40\n"
         result = run_experiment(write_config(tmp_path, body), tmp_path / "out", mode="run")
         assert result["manifest"]["graph"]["connected"] is False
         assert [b.algorithm for b in result["report"].blocks] == ["fedsgd", "fedavg1", "fedavg2"]
-        grid = GridSpec(alphas=(0.1,), etas=(0.05,), degrees=(1, 2), algorithms=("fedsgd",))
-        cells = run_grid_search(cluster_datasets(), grid, max_iterations=40).cells
-        assert cells[0] == GridCell("fedsgd", 0.05, 0.1, 1, connected=False, val_mse=None)
-        assert cells[1].connected and math.isfinite(cells[1].val_mse)
 
     def test_metrics_json_is_strict(self, tmp_path):
         # 3 rows per node split 2/0/1, so every val score is NaN: null in metrics.json, nan in metrics.txt
@@ -1182,7 +1190,10 @@ class TestCli:
             (mode, f"{key} = 0", f"{key} must be >= 1, got 0")
             for mode in ("run", "grid") for key in ("batch_size", "max_iterations", "trace_every")
         ]
-        + [("run", "eta = nan", "eta must be positive and finite, got nan"), ("run", "alpha = -1", "alpha must be non-negative and finite, got -1.0")],
+        + [("run", "eta = nan", "eta must be positive and finite, got nan"), ("run", "alpha = -1", "alpha must be non-negative and finite, got -1.0")]
+        # [graph] degree in every mode, also where nothing uses it (an averaging-only run)
+        + [(mode, f"[graph]\ndegree = {d}", f"[graph] degree: must be >= 1, got {d}") for mode in ("run", "grid", "graph") for d in (0, -1)]
+        + [("run", "algorithm = fedavg1\n[graph]\ndegree = 0", "[graph] degree: must be >= 1, got 0")],
     )
     def test_out_of_range_setting_exits_2_before_any_data_loads(self, tmp_path, monkeypatch, mode, body, message):
         def no_load(cfg):
@@ -1289,21 +1300,12 @@ class TestCli:
         assert result.exit_code == 3
 
     def test_infeasible_grid_exits_4(self, tmp_path):
-        write_spec(tmp_path)
-        cfg = write_config(
-            tmp_path,
-            """\
-            [data]
-            synthetic = spec.json
-
-            [grid]
-            degrees = 1
-            algorithms = fedsgd
-            """,
-        )
+        # every cell diverges at eta = 5, on the disconnected d = 1 graph and the connected d = 2 one alike
+        cfg = diverging_config(tmp_path, "[grid]\netas = 5.0\nalphas = 0.1\ndegrees = 1, 2\nalgorithms = fedsgd\n")
         out = tmp_path / "out"
         result = self.run_cli("grid", "--config", str(cfg), "--out", str(out))
         assert result.exit_code == 4
+        assert result.stderr == "training error: no grid candidate has a finite validation MSE (every run diverged)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

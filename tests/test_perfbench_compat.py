@@ -49,7 +49,7 @@ def test_tracer_wraps_every_listed_function():
 
 
 def test_tracer_counts_the_grid_csv_cells(tmp_path):
-    # 4 nodes in two tight pairs: the degree-1 graph is disconnected, so its cells are skipped
+    # 4 nodes in two tight pairs: the degree-1 graph is disconnected, and its cells train as the others do
     spec = {
         "node_count": 4,
         "rows_per_node": [24] * 4,
@@ -80,6 +80,7 @@ def test_tracer_counts_the_grid_csv_cells(tmp_path):
     counts = json.loads(result.stdout.splitlines()[-1])
     rows = (out / "grid.csv").read_text(encoding="utf-8").splitlines()[1:]
     scored = [row.rsplit(",", 1)[1] != "" for row in rows]
-    assert len(rows) == 2 * 2 * 2 + 2 + 2 and scored.count(False) == 4
-    assert counts["experiment_harness.cells_trained"] == scored.count(True)
-    assert counts["experiment_harness.cells_skipped"] == scored.count(False)
+    assert len(rows) == 2 * 2 * 2 + 2 + 2 and all(scored)
+    assert [row.split(",")[4] for row in rows].count("0") == 4
+    assert counts["experiment_harness.cells_trained"] == scored.count(True) == 12
+    assert counts["experiment_harness.cells_skipped"] == scored.count(False) == 0
