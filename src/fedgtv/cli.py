@@ -3,7 +3,7 @@
 Exit codes: 0 success, else the error's ``exit_code`` (see :mod:`fedgtv.errors`):
 2 configuration error (bad config file, bad hyperparameters), 3 data error
 (missing/unreadable/degenerate input files), 4 training/numerics error
-(degenerate inputs, a diverged run, every grid cell of an algorithm diverged).
+(degenerate inputs, no finite validation MSE in any of an algorithm's cells).
 """
 from __future__ import annotations
 

@@ -532,6 +532,14 @@ def split_dataset(m: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     )
 
 
+def _node_split(node_id: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`split_dataset` for node ``node_id``, whose SplitError it names."""
+    try:
+        return split_dataset(m, seed)
+    except SplitError as exc:
+        raise SplitError(f"node {node_id}: {exc}") from exc
+
+
 def _feature(dataset: LocalDataset, col: int) -> str:
     return dataset.feature_names[col] if dataset.feature_names else f"column {col}"
 
@@ -606,7 +614,7 @@ def load_preprocessed(path, schema: CsvSchema | None = None, seed: int = 42) -> 
     datasets = []
     for node_id, facid in enumerate(list(blocks), start=1):
         block = blocks.pop(facid)
-        splits = [engineer_features(block[rows]) for rows in split_dataset(len(block), seed)]
+        splits = [engineer_features(block[rows]) for rows in _node_split(node_id, len(block), seed)]
         del block  # freed before its splits are z-scored
         fields = dict(numeric_columns=NUMERIC_COLUMNS.copy(), feature_names=FEATURE_NAMES, source_label=facid)
         datasets.append(_zscore(LocalDataset(node_id, *splits, **fields)))
@@ -682,7 +690,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LocalDataset]:
         if spec.noise_std > 0:
             y = y + spec.noise_std * rng.standard_normal(m)
         fields = dict(numeric_columns=np.arange(spec.feature_dim - 1), feature_names=names)
-        dataset = LocalDataset(node + 1, *[(X[rows], y[rows]) for rows in split_dataset(m, spec.seed)], **fields)
+        dataset = LocalDataset(node + 1, *[(X[rows], y[rows]) for rows in _node_split(node + 1, m, spec.seed)], **fields)
         for name in ("train", "val", "test"):
             _check_sums_of_squares(dataset, name, *dataset.split(name))
         datasets.append(dataset)

@@ -8,7 +8,6 @@ __all__ = [
     "DegenerateInputError",
     "DivergenceError",
     "EmptyInputError",
-    "NoFeasibleConfigError",
     "ParameterError",
     "SchemaError",
     "ShapeError",
@@ -58,18 +57,13 @@ class DegenerateGraphError(FedGTVError):
 
 
 class DivergenceError(FedGTVError):
-    """A training run left the finite range: a node's training loss is NaN or infinite."""
+    """No trained cell of an algorithm has a finite validation MSE: every one left the finite range."""
     exit_code = 4
 
 
 class ParameterError(FedGTVError):
     """A hyperparameter or argument is outside its legal range."""
     exit_code = 2
-
-
-class NoFeasibleConfigError(FedGTVError):
-    """No grid cell of an algorithm has a finite validation MSE: every one diverged."""
-    exit_code = 4
 
 
 class ConfigError(FedGTVError):

@@ -6,8 +6,8 @@ write deterministic artifacts (metrics report, training traces, graph edge
 list, run manifest) to an output directory. Hyperparameter search sweeps
 alpha x eta x degree for fedsgd, on connected and disconnected graphs alike,
 and eta alone for the averaging variants, picking the lowest mean validation
-MSE. ``run`` is the search's one-cell case: both train and score through one
-per-algorithm step, so neither prints a numpy warning.
+MSE. ``run`` is the search's one-point case, so neither prints a numpy warning
+and both raise one DivergenceError when no cell of an algorithm scores finite.
 """
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     DivergenceError,
-    NoFeasibleConfigError,
     ParameterError,
     SchemaError,
     SplitError,
@@ -86,10 +85,10 @@ class GridSpec:
     {0.1, 0.01, 0.001}, degree in {1, 2, 3, 4}, all three algorithms. alphas
     and degrees only apply to fedsgd. Every (algorithm, eta, alpha) must make
     a valid OptimizerConfig, whose rule a ParameterError prefixed ``grid``
-    names; no axis repeats a value. Once the node count n is known, the
-    search rejects any degree outside [1, n - 1] with ParameterError (exit 2)
-    rather than dropping it, so the default degree axis fails on data with
-    fewer than 5 nodes.
+    names; no axis repeats a value. Once the node count n is known,
+    :func:`build_knn_graph` rejects a degree outside [1, n - 1] with
+    ParameterError (exit 2) rather than dropping it, so the default degree
+    axis fails on data with fewer than 5 nodes.
     """
 
     alphas: tuple[float, ...] = (1.0, 0.5, 0.1)
@@ -172,8 +171,7 @@ class MetricsReport:
         """Aligned plain-text tables, one block per algorithm. Deterministic."""
         lines = []
         for b in self.blocks:
-            params = ", ".join(f"{k}={_fmt_param(v)}" for k, v in b.hyperparameters.items())
-            lines.append(f"== {b.algorithm}" + (f" ({params})" if params else "") + " ==")
+            lines.append(f"== {_label(b.algorithm, b.hyperparameters)} ==")
             lines.append(f"{'node':>6} {'train':>12} {'val':>12} {'test':>12}")
             for i, node in enumerate(b.node_ids):
                 lines.append(
@@ -190,6 +188,12 @@ class MetricsReport:
 def _mean(scores) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # a mean past the float range is inf, with no warning
         return float(np.mean(scores))
+
+
+def _label(algorithm: str, hyperparameters: Mapping) -> str:
+    """``algorithm (key=value, ...)``, as a metrics.txt block header names a block."""
+    params = ", ".join(f"{k}={_fmt_param(v)}" for k, v in hyperparameters.items())
+    return algorithm + (f" ({params})" if params else "")
 
 
 def _fmt_param(v) -> str:
@@ -264,23 +268,20 @@ class GridSearchResult:
     best: dict[str, GridCell]
 
 
+def _tie_break(cell: GridCell) -> tuple:
+    """Smaller eta, then alpha, then degree ranks first (None as 0)."""
+    return cell.eta, cell.alpha or 0.0, cell.degree or 0
+
+
 def select_best(cells: Sequence[GridCell]) -> GridCell:
     """Lowest finite validation MSE; ties broken by smaller eta, alpha, then degree.
 
-    Untrained (None) and non-finite (diverged) cells are never selected.
+    Untrained (None) and non-finite (diverged) cells are never selected; none left is a DivergenceError.
     """
     trained = [c for c in cells if c.val_mse is not None and math.isfinite(c.val_mse)]
     if not trained:
-        raise NoFeasibleConfigError("no grid candidate has a finite validation MSE (every run diverged)")
-    return min(
-        trained,
-        key=lambda c: (
-            c.val_mse,
-            c.eta,
-            0.0 if c.alpha is None else c.alpha,
-            0 if c.degree is None else c.degree,
-        ),
-    )
+        raise DivergenceError("no grid candidate has a finite validation MSE (every run diverged)")
+    return min(trained, key=lambda c: (c.val_mse, *_tie_break(c)))
 
 
 def run_grid_search(
@@ -302,9 +303,11 @@ def run_grid_search(
     cells, and each cell's result is bitwise identical to training it alone.
     Each cell keeps its weights, and only each algorithm's winner its
     trace. Cells are recorded in degree-major, then alpha, then eta order;
-    selection does not depend on that order. Raises SplitError, before any
-    training, when a node has no validation rows, and NoFeasibleConfigError
-    when every cell of an algorithm diverged (no finite validation MSE).
+    selection does not depend on that order. Before any training, raises
+    SplitError when a node has no validation rows, and ParameterError, from
+    :func:`build_knn_graph`, for a degree outside [1, n - 1]. Raises
+    DivergenceError, naming the cell that the tie-break ranks first
+    (:func:`_diverged`), when no cell of an algorithm has a finite val MSE.
     """
     if len(datasets) == 0:
         raise DegenerateInputError("no datasets to search over")
@@ -316,43 +319,45 @@ def run_grid_search(
     cells: list[GridCell] = []
     best: dict[str, GridCell] = {}
     settings = dict(batch_size=batch_size, max_iterations=max_iterations, seed=seed, trace_every=trace_every)
-    disc = None
+    graphs = []  # fedsgd's, one per degree
+    if Algorithm.FEDSGD in grid.algorithms:
+        disc = discrepancy_matrix(pretrain_local_weights(datasets))
+        graphs = [build_knn_graph(disc, d) for d in grid.degrees]
     for algorithm in grid.algorithms:
         if algorithm is Algorithm.FEDSGD:
-            n = len(datasets)
-            bad = [d for d in grid.degrees if not 1 <= d <= n - 1]
-            if bad:
-                raise ParameterError(f"grid degrees {bad} outside [1, {n - 1}]")
-            if disc is None:
-                disc = discrepancy_matrix(pretrain_local_weights(datasets))
-            candidates = []
-            for d in grid.degrees:
-                graph = build_knn_graph(disc, d)
-                connected = is_connected(graph)
-                candidates += [
-                    GridCell(algorithm.value, eta, alpha, d, connected, graph=graph)
-                    for alpha in grid.alphas for eta in grid.etas
-                ]
+            candidates = [
+                GridCell(algorithm.value, eta, alpha, d, connected, graph=graph)
+                for d, graph, connected in zip(grid.degrees, graphs, map(is_connected, graphs))
+                for alpha in grid.alphas for eta in grid.etas
+            ]
         else:
             candidates = [GridCell(algorithm.value, eta) for eta in grid.etas]
-        algo_cells = _train_step(datasets, candidates, settings)
+        configs = [OptimizerConfig(c.algorithm, c.eta, c.alpha or 0.0, **settings) for c in candidates]
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging cell scores non-finite, with no warning
+            W, traces = train_cells(datasets, [c.graph for c in candidates], configs)
+            val = _losses(_split_parts(datasets, "val", W), W)
+        fits = zip(candidates, val, W, traces)
+        algo_cells = [replace(c, val_mse=_mean(row), val_losses=row, weights=w, trace=t) for c, row, w, t in fits]
+        if not any(math.isfinite(c.val_mse) for c in algo_cells):
+            raise _diverged(min(algo_cells, key=_tie_break), datasets)
         winner = best[algorithm.value] = select_best(algo_cells)
         cells += [c if c is winner else replace(c, trace=None) for c in algo_cells]  # a grid reads only its winners' traces
     return GridSearchResult(cells=cells, best=best)
 
 
-def _train_step(datasets: Sequence[LocalDataset], cells: Sequence[GridCell], settings: Mapping) -> list[GridCell]:
-    """Train one algorithm's cells, each on its ``graph``, in one :func:`train_cells` call; score each on val.
+def _hyperparameters(cell: GridCell) -> dict:
+    return {key: getattr(cell, key) for key in ("alpha", "eta", "degree") if getattr(cell, key) is not None}
 
-    A cell's eta and alpha (0 for None) and the shared ``settings`` make its OptimizerConfig. Returns the cells
-    with their ``val_losses``, ``val_mse``, ``weights`` and ``trace``; a diverging cell scores non-finite, with no warning.
-    """
-    configs = [OptimizerConfig(cell.algorithm, cell.eta, cell.alpha or 0.0, **settings) for cell in cells]
-    with np.errstate(over="ignore", invalid="ignore"):
-        W, traces = train_cells(datasets, [cell.graph for cell in cells], configs)
-        val = _losses(_split_parts(datasets, "val", W), W)
-        fits = zip(cells, val, W, traces)
-        return [replace(cell, val_mse=float(np.mean(row)), val_losses=row, weights=w, trace=t) for cell, row, w, t in fits]
+
+def _diverged(cell: GridCell, datasets: Sequence[LocalDataset]) -> DivergenceError:
+    """A cell without a finite val MSE, named as its metrics.txt block: its first non-finite training loss, else val."""
+    label, nodes = _label(cell.algorithm, _hyperparameters(cell)), [ds.node_id for ds in datasets]
+    for k, losses in zip(cell.trace.rounds, cell.trace.node_losses):
+        for node, loss in zip(nodes, losses.tolist()):
+            if not math.isfinite(loss):
+                return DivergenceError(f"{label} diverged: round {k}: node {node}: non-finite training loss")
+    where = next((f"node {node}: " for node, loss in zip(nodes, cell.val_losses.tolist()) if not math.isfinite(loss)), "")
+    return DivergenceError(f"{label}: {where}non-finite validation MSE")
 
 
 @dataclass
@@ -567,16 +572,7 @@ def _render_grid_csv(cells: Sequence[GridCell]) -> str:
 def _metrics(cell: GridCell, test: np.ndarray, datasets: Sequence[LocalDataset]) -> AlgorithmMetrics:
     """A trained cell's report block: train at its final trace point, its val row, and ``test``, bitwise evaluate's."""
     scores = [tuple(row.tolist()) for row in (cell.trace.node_losses[-1], cell.val_losses, test)]
-    hyperparameters = {key: getattr(cell, key) for key in ("alpha", "eta", "degree") if getattr(cell, key) is not None}
-    return AlgorithmMetrics(cell.algorithm, tuple(ds.node_id for ds in datasets), *scores, hyperparameters)
-
-
-def _check_finite(algorithm: str, trace: TrainingTrace, datasets: Sequence[LocalDataset]) -> None:
-    """Raise DivergenceError at the first trace round where a node's training loss is not finite."""
-    for k, losses in zip(trace.rounds, trace.node_losses):
-        for ds, loss in zip(datasets, losses.tolist()):
-            if not math.isfinite(loss):
-                raise DivergenceError(f"{algorithm} diverged: round {k}: node {ds.node_id}: non-finite training loss")
+    return AlgorithmMetrics(cell.algorithm, tuple(ds.node_id for ds in datasets), *scores, _hyperparameters(cell))
 
 
 def _load_datasets(cfg: ExperimentConfig):
@@ -639,24 +635,23 @@ def run_experiment(
 ) -> dict:
     """Execute one experiment and write its artifacts to ``out_dir``.
 
-    Modes: "run" trains the configured algorithms at the fixed [optimizer]
-    settings and raises DivergenceError, naming the algorithm, round and node,
-    if a training loss in a trace is not finite; "grid" runs the hyperparameter
-    search and reports each algorithm's winner from the weights, trace and val
-    scores the search already took; "graph" only builds and exports the
-    empirical graph. The [optimizer] settings a mode trains with are checked
-    before any data loads. Each mode passes through the same stages once: load,
-    graph, train, report, commit; the report scores only the test split.
-    Nothing is written until every computation has succeeded. The artifacts are
-    written to a hidden staging directory inside ``out_dir``, so each move
-    stays on one filesystem; the manifest lists the files actually written
-    there, and all of them move into ``out_dir``, the manifest last, only once
-    every one is written, so a failure leaves no partial artifacts, and no
-    directory that this run created for ``out_dir``. Once the moves succeed,
-    files that an earlier run's manifest in ``out_dir`` lists and this run did
-    not write are deleted. Identical inputs produce byte-identical outputs (the
-    manifest records versions but no timestamps). Returns a summary dict with
-    the report, manifest, and artifact names.
+    Modes: "grid" runs the hyperparameter search and reports each algorithm's
+    winner from the weights, trace and val scores the search already took;
+    "run" is its one-point case at the [optimizer] and [graph] settings, with
+    no ``grid.csv``; either's DivergenceError names the cell, round and node.
+    "graph" only builds and exports the empirical graph. The [optimizer]
+    settings a mode trains with are checked before any data loads. Each mode
+    passes through the same stages once: load, graph, train, report, commit;
+    the report scores only the test split. Nothing is written until every
+    computation has succeeded. The artifacts are written to a hidden staging
+    directory inside ``out_dir``, so each move stays on one filesystem; the
+    manifest lists the files actually written there, and all of them move into
+    ``out_dir``, the manifest last, only once every one is written, so a
+    failure leaves no partial artifacts, and no directory that this run created
+    for ``out_dir``. Once the moves succeed, files that an earlier run's
+    manifest in ``out_dir`` lists and this run did not write are deleted.
+    Identical inputs produce byte-identical outputs (the manifest records
+    versions but no timestamps). Returns the report, manifest and artifacts.
     """
     if mode not in ("run", "grid", "graph"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -696,29 +691,23 @@ def run_experiment(
             "python": platform.python_version(),
         },
     }
-    graph = None
-    if mode == "graph" or (mode == "run" and Algorithm.FEDSGD in cfg.algorithms):
-        graph = build_knn_graph(discrepancy_matrix(pretrain_local_weights(datasets)), cfg.degree)
-
     artifacts: dict[str, str] = {}
-    fits: list[GridCell] = []  # one trained cell per algorithm
+    if mode == "graph":
+        graph = build_knn_graph(discrepancy_matrix(pretrain_local_weights(datasets)), cfg.degree)
+    else:
+        grid = cfg.grid if mode == "grid" else GridSpec((cfg.alpha,), (cfg.eta,), (cfg.degree,), cfg.algorithms)
+        result = run_grid_search(datasets, grid, **settings)
+        fits = [result.best[algo.value] for algo in grid.algorithms]  # one trained cell per algorithm
+        graph = getattr(result.best.get(Algorithm.FEDSGD.value), "graph", None)
     if mode == "run":
         manifest["optimizer"] = {
             "algorithms": [a.value for a in cfg.algorithms], "eta": cfg.eta, "alpha": cfg.alpha,
             "batch_size": cfg.batch_size, "max_iterations": cfg.max_iterations,
         }
-        for algo in cfg.algorithms:
-            fedsgd = algo is Algorithm.FEDSGD
-            cell = GridCell(algo.value, cfg.eta, cfg.alpha, cfg.degree, graph=graph) if fedsgd else GridCell(algo.value, cfg.eta)
-            fits += _train_step(datasets, [cell], settings)
-            _check_finite(algo.value, fits[-1].trace, datasets)
     elif mode == "grid":
-        result = run_grid_search(datasets, cfg.grid, **settings)
         artifacts["grid.csv"] = _render_grid_csv(result.cells)
         scored = [f.name for f in fields(GridCell) if f.compare]  # not the arrays, which JSON cannot hold
         manifest["selected"] = {name: {key: getattr(cell, key) for key in scored} for name, cell in sorted(result.best.items())}
-        fits = [result.best[algo.value] for algo in cfg.grid.algorithms]
-        graph = getattr(result.best.get(Algorithm.FEDSGD.value), "graph", None)
     if graph is not None:
         manifest["graph"] = graph_summary(graph)
 

@@ -6,7 +6,7 @@ itself when the CSV is not present; set FEDGTV_LOS_CSV or place
 LengthOfStay.csv under tests/data/ to enable it. The paper grid also runs,
 pinned, on the benchmark's seeded public-format stand-in for that CSV, and
 on twelve small stand-ins that show where federation pays. The default grid
-also runs on small clustered nodes, the regime GTVMin is for.
+also runs on small clustered nodes, the regime GTVMin is for, 10 and 60 of them.
 """
 
 import csv
@@ -526,6 +526,49 @@ def test_gtvmin_regime_on_small_clustered_nodes(tmp_path):
         f"PASS GTVMin regime: on 10 small nodes in two clusters, every fedsgd graph disconnected, mean test MSE "
         f"fedsgd {test['fedsgd']:.4f} below local {local:.4f}, pooled {pooled:.4f}, "
         f"fedavg1 {test['fedavg1']:.4f} and fedavg2 {test['fedavg2']:.4f}"
+    )
+
+
+# The default grid on 60 nodes of 40 rows in four clusters: selection and (train, val, test) means per algorithm.
+MANY_NODES_SELECTED = {
+    "fedsgd": ({"alpha": 1.0, "eta": 0.01, "degree": 4}, (0.900736402121, 0.912354561403, 1.02860699661)),
+    "fedavg1": ({"eta": 0.1}, (4.64683639826, 4.59935733866, 5.39434786458)),
+    "fedavg2": ({"eta": 0.1}, (4.6473063399, 4.59800881238, 5.38165675681)),
+}
+# Mean test MSE of the local and of the row-pooled least-squares fit on the same nodes.
+MANY_NODES_LOCAL_POOLED = (1.43682084357, 5.39434786458)
+
+
+def test_gtvmin_regime_on_many_nodes(tmp_path):
+    # GTVMin's home regime, many small nodes: four clusters of 15 nodes each, whose selected
+    # degree-4 kNN graph is disconnected
+    rng = np.random.default_rng(0)
+    spec = {
+        "node_count": 60, "rows_per_node": [40] * 60, "feature_dim": 8, "cluster_assignment": [i % 4 for i in range(60)],
+        "cluster_weights": [rng.standard_normal(8).tolist() for _ in range(4)], "noise_std": 1.0, "seed": 3,
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "exp.ini").write_text("[data]\nsynthetic = spec.json\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["grid", "--config", str(tmp_path / "exp.ini"), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "manifest.json").read_text())["selected"]["fedsgd"]["connected"] is False
+    blocks = {b["algorithm"]: b for b in json.loads((out / "metrics.json").read_text())["algorithms"]}
+    assert list(blocks) == list(MANY_NODES_SELECTED)
+    for name, (hyperparameters, means) in MANY_NODES_SELECTED.items():
+        assert blocks[name]["hyperparameters"] == hyperparameters
+        found = tuple(blocks[name]["mean"][split] for split in ("train", "val", "test"))
+        assert found == pytest.approx(means, rel=1e-9), name
+    datasets = generate_synthetic(load_synthetic_spec(tmp_path / "spec.json"))
+    local = np.mean([mse_loss(*ds.test, least_squares_fit(*ds.train)) for ds in datasets])
+    pooled_w = least_squares_fit(*(np.concatenate(part) for part in zip(*(ds.train for ds in datasets))))
+    pooled = np.mean([mse_loss(*ds.test, pooled_w) for ds in datasets])
+    assert (local, pooled) == pytest.approx(MANY_NODES_LOCAL_POOLED, rel=1e-9)
+    test = {name: block["mean"]["test"] for name, block in blocks.items()}
+    assert test["fedsgd"] < min(local, pooled, test["fedavg1"], test["fedavg2"])
+    print(
+        f"PASS GTVMin regime at many nodes: on 60 nodes in four clusters, mean test MSE fedsgd {test['fedsgd']:.4f} "
+        f"below local {local:.4f}, row-pooled {pooled:.4f}, fedavg1 {test['fedavg1']:.4f} and fedavg2 {test['fedavg2']:.4f}"
     )
 
 

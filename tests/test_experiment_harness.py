@@ -22,7 +22,6 @@ from fedgtv.errors import (
     ConfigError,
     DegenerateInputError,
     DivergenceError,
-    NoFeasibleConfigError,
     ParameterError,
     SchemaError,
 )
@@ -295,13 +294,14 @@ class TestSelectBest:
         cells = [
             GridCell("fedsgd", eta=0.1, alpha=0.1, degree=1, connected=False, val_mse=None)
         ]
-        with pytest.raises(NoFeasibleConfigError):
+        message = r"^no grid candidate has a finite validation MSE \(every run diverged\)$"
+        with pytest.raises(DivergenceError, match=message):
             select_best(cells)
         cells += [
             GridCell("fedsgd", eta=0.1, alpha=0.1, degree=2, val_mse=float("nan")),
             GridCell("fedsgd", eta=0.01, alpha=0.1, degree=2, val_mse=float("inf")),
         ]
-        with pytest.raises(NoFeasibleConfigError):
+        with pytest.raises(DivergenceError, match=message):
             select_best(cells)
 
     def test_non_finite_cells_never_selected(self):
@@ -469,16 +469,34 @@ class TestRunGridSearch:
         assert math.isfinite(result.best["fedsgd"].val_mse)
 
     def test_all_diverged_raises(self):
+        # every cell diverges; the error names the one the tie-break ranks first, the d = 1 cell
         datasets = cluster_datasets()
         grid = GridSpec(alphas=(0.1,), etas=(5.0,), degrees=(1, 2), algorithms=("fedsgd",))
-        with pytest.raises(NoFeasibleConfigError, match=r"^no grid candidate has a finite validation MSE \(every run diverged\)$"):
+        message = r"^fedsgd \(alpha=0\.1, eta=5, degree=1\) diverged: round 150: node 1: non-finite training loss$"
+        with pytest.raises(DivergenceError, match=message):
             run_grid_search(datasets, grid)  # 1,000 rounds at eta = 5 overflow every cell
 
-    def test_degree_out_of_range(self):
+    def test_val_mean_past_the_float_range_raises(self):
+        # each node's one val label is 1.3e154, so each val MSE is a finite 1.69e308 and their
+        # mean is inf: no node is named, while training stays finite
+        ones = np.ones((3, 1))
+        datasets = [
+            LocalDataset(node, (ones, np.arange(3.0)), (ones[:1], np.array([1.3e154])), (ones[:1], np.zeros(1)), np.arange(0))
+            for node in (1, 2)
+        ]
+        grid = GridSpec(etas=(0.1,), algorithms=("fedavg1",))
+        with pytest.raises(DivergenceError, match=r"^fedavg1 \(eta=0\.1\): non-finite validation MSE$"):
+            run_grid_search(datasets, grid, max_iterations=5)
+
+    def test_degree_out_of_range(self, monkeypatch):
+        # fedsgd listed after fedavg1: its degrees are checked against the 4 nodes before fedavg1 trains
         datasets = cluster_datasets()
-        grid = GridSpec(alphas=(0.1,), etas=(0.05,), degrees=(4,), algorithms=("fedsgd",))
-        with pytest.raises(ParameterError):
+        grid = GridSpec(alphas=(0.1,), etas=(0.05,), degrees=(1, 4), algorithms=("fedavg1", "fedsgd"))
+        trained = []
+        monkeypatch.setattr(experiment_harness, "train_cells", lambda *args: trained.append(args))
+        with pytest.raises(ParameterError, match=r"^degree d=4 outside \[1, 3\]$"):
             run_grid_search(datasets, grid, max_iterations=10)
+        assert trained == []
 
     def test_no_datasets(self):
         with pytest.raises(DegenerateInputError, match="no datasets to search over"):
@@ -867,11 +885,13 @@ class TestRunExperiment:
         with pytest.raises(ParameterError, match="unknown mode 'train'"):
             run_experiment(synthetic_config(tmp_path), tmp_path / "out", mode="train")
 
-    @pytest.mark.parametrize("algorithm, k", [("fedsgd", 150), ("fedavg1", 200)])
-    def test_diverged_run_raises(self, tmp_path, algorithm, k):
+    @pytest.mark.parametrize(
+        "algorithm, params, k", [("fedsgd", "alpha=0.1, eta=5, degree=2", 150), ("fedavg1", "eta=5", 200)], ids=["fedsgd", "fedavg1"]
+    )
+    def test_diverged_run_raises(self, tmp_path, algorithm, params, k):
         # no RuntimeWarning escapes: pytest would turn it into an error
         out = tmp_path / "out"
-        message = f"{algorithm} diverged: round {k}: node 1: non-finite training loss"
+        message = re.escape(f"{algorithm} ({params}) diverged: round {k}: node 1: non-finite training loss")
         with pytest.raises(DivergenceError, match=f"^{message}$"):
             run_experiment(diverging_config(tmp_path), out, mode="run", algorithm=algorithm)
         assert not out.exists()
@@ -915,26 +935,6 @@ class TestRunExperiment:
         result = run_experiment(write_config(tmp_path, body), tmp_path / "out", mode="run")
         assert result["manifest"]["graph"]["connected"] is False
         assert [b.algorithm for b in result["report"].blocks] == ["fedsgd", "fedavg1", "fedavg2"]
-
-    def test_metrics_json_is_strict(self, tmp_path):
-        # 3 rows per node split 2/0/1, so every val score is NaN: null in metrics.json, nan in metrics.txt
-        spec = {
-            "node_count": 3, "rows_per_node": [3, 3, 3], "feature_dim": 2, "cluster_assignment": [0, 0, 1],
-            "cluster_weights": [[1.0, -1.0], [-1.0, 1.0]], "noise_std": 0.1, "seed": 3,
-        }
-        (tmp_path / "spec.json").write_text(json.dumps(spec))
-        out = tmp_path / "out"
-        run_experiment(write_config(tmp_path, "[data]\nsynthetic = spec.json\n"), out, mode="run")
-
-        def reject(token):
-            raise AssertionError(f"metrics.json holds the non-standard JSON token {token}")
-
-        blocks = json.loads((out / "metrics.json").read_text(), parse_constant=reject)["algorithms"]
-        assert [b["algorithm"] for b in blocks] == ["fedsgd", "fedavg1", "fedavg2"]
-        for b in blocks:
-            assert b["val_mse"] == [None] * 3 and b["mean"]["val"] is None
-            assert all(math.isfinite(v) for v in b["train_mse"] + b["test_mse"] + [b["mean"]["test"]])
-        assert (out / "metrics.txt").read_text().count(" nan ") == 3 * 4
 
     def test_no_source_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "[optimizer]\neta = 0.1\n")
@@ -1305,7 +1305,9 @@ class TestCli:
         out = tmp_path / "out"
         result = self.run_cli("grid", "--config", str(cfg), "--out", str(out))
         assert result.exit_code == 4
-        assert result.stderr == "training error: no grid candidate has a finite validation MSE (every run diverged)\n"
+        assert result.stderr == (
+            "training error: fedsgd (alpha=0.1, eta=5, degree=1) diverged: round 150: node 1: non-finite training loss\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1457,7 +1459,9 @@ class TestCli:
             capture_output=True, text=True, env=src_env(), timeout=120,
         )
         assert proc.returncode == 4, proc.stderr
-        assert proc.stderr == "training error: fedsgd diverged: round 150: node 1: non-finite training loss\n"
+        assert proc.stderr == (
+            "training error: fedsgd (alpha=0.1, eta=5, degree=2) diverged: round 150: node 1: non-finite training loss\n"
+        )
         assert not out.exists()
 
     def test_diverging_grid_writes_nothing_to_stderr(self, tmp_path):
@@ -1475,18 +1479,21 @@ class TestCli:
         assert scores.pop(("fedsgd", "0.1", "5", "2")) == scores.pop(("fedavg1", "", "5", "")) == "nan"
         assert len(scores) == 4 and all(math.isfinite(float(v)) for v in scores.values())
 
-    def test_overflowing_test_score_writes_null_and_nothing_to_stderr(self, tmp_path):
+    @pytest.mark.parametrize("split", ["test", "val"])
+    def test_overflowing_held_out_score(self, tmp_path, split):
         # fedavg1 at 2.5 / lambda_max of the mean (2/m_i) X_i^T X_i, on a stand-in
-        # whose node A has glucose 1e7 in its first test row: training ends
-        # finite near 1e304, and node A's test MSE overflows; a fresh
-        # interpreter, so that a numpy RuntimeWarning would show on stderr
+        # whose node A has glucose 1e7 in its first row of the split: training
+        # ends finite near 1e304, and node A's score on that split overflows.
+        # A test score is written as null; a val score leaves the cell without
+        # a finite val MSE, so nothing is written. A fresh interpreter, so that
+        # a numpy RuntimeWarning would show on stderr
         los_inputs = load_perfbench_inputs()
         los = los_inputs.write_los(1, tmp_path, los_inputs.LosShape((("A", 60), ("B", 60)), malformed_per_kind=0))
         csv_path = tmp_path / "los.csv"
         lines = csv_path.read_text().splitlines()
         header = lines[0].split(",")
         rows_a = [k for k, line in enumerate(lines) if line.split(",")[header.index("facid")] == "A"]
-        k = rows_a[split_dataset(60, los.split_seed)[2][0]]  # node A's first test row
+        k = rows_a[split_dataset(60, los.split_seed)[{"val": 1, "test": 2}[split]][0]]  # node A's first row of the split
         row = lines[k].split(",")
         row[header.index("glucose")] = "1e7"
         lines[k] = ",".join(row)
@@ -1497,6 +1504,11 @@ class TestCli:
             [sys.executable, "-m", "fedgtv.cli", "run", "--config", str(los.config), "--out", str(tmp_path / "out")],
             capture_output=True, text=True, env=src_env(), timeout=120,
         )
+        if split == "val":
+            assert proc.returncode == 4
+            assert proc.stderr == "training error: fedavg1 (eta=0.5169488156737561): node 1: non-finite validation MSE\n"
+            assert not (tmp_path / "out").exists()
+            return
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         (block,) = json.loads((tmp_path / "out" / "metrics.json").read_text())["algorithms"]
@@ -1626,8 +1638,9 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert sorted(p.name for p in out.iterdir()) == ["graph.edges", "manifest.json"]  # staging removed
 
-    def test_grid_rejects_an_empty_val_split_before_training(self, tmp_path, monkeypatch):
-        # a 3-row node splits 2 / 0 / 1: run reports its val as null, a grid cannot select on it
+    @pytest.mark.parametrize("mode", ["run", "grid"])
+    def test_empty_val_split_is_rejected_before_training(self, tmp_path, monkeypatch, mode):
+        # a 3-row node splits 2 / 0 / 1: no cell could be selected on its val, in run's one-point grid as in grid
         spec = {**SPEC_JSON, "node_count": 5, "rows_per_node": [3, 40, 40, 40, 40], "feature_dim": 2,
                 "cluster_assignment": [0, 0, 1, 1, 1], "cluster_weights": [[1.0, -1.0], [-1.0, 1.0]]}
         (tmp_path / "spec.json").write_text(json.dumps(spec))
@@ -1635,10 +1648,30 @@ class TestCli:
         trained = []
         monkeypatch.setattr(experiment_harness, "pretrain_local_weights", lambda *args: trained.append(args))
         monkeypatch.setattr(experiment_harness, "train_cells", lambda *args: trained.append(args))
-        result = self.run_cli("grid", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        result = self.run_cli(mode, "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert result.exit_code == 3, result.output
         assert result.stderr == "data error: node 1: empty validation split (2 train, 0 val, 1 test rows)\n"
         assert trained == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["csv", "synthetic"])
+    def test_too_small_node_is_named(self, tmp_path, source):
+        # node 2 has 2 rows, one short of a split, from a CSV facility or a synthetic spec alike
+        if source == "csv":
+            header, *lines = FIXTURE.read_text().splitlines()
+            b_rows = [line for line in lines if line.endswith(",B")]
+            kept = [line for line in lines if line not in b_rows[2:]]
+            (tmp_path / "rows.csv").write_text("\n".join([header, *kept]) + "\n")
+            cfg = write_config(tmp_path, "[data]\ncsv = rows.csv\n")
+        else:
+            spec = {**SPEC_JSON, "node_count": 3, "rows_per_node": [40, 2, 40], "feature_dim": 2,
+                    "cluster_assignment": [0, 0, 1], "cluster_weights": [[1.0, -1.0], [-1.0, 1.0]]}
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            cfg = write_config(tmp_path, "[data]\nsynthetic = spec.json\n")
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "data error: node 2: need at least 3 rows to split, got 2\n"
+        assert not out.exists()
 
     def test_grid_artifacts_do_not_depend_on_the_draw_helper(self, tmp_path, monkeypatch, forks):
         write_spec(tmp_path)

@@ -18,7 +18,6 @@ from fedgtv.errors import (
     DivergenceError,
     EmptyInputError,
     FedGTVError,
-    NoFeasibleConfigError,
     ParameterError,
     SchemaError,
     ShapeError,
@@ -42,7 +41,6 @@ EXIT_CODES = {
     DegenerateInputError: 4,
     DegenerateGraphError: 4,
     DivergenceError: 4,
-    NoFeasibleConfigError: 4,
 }
 
 
