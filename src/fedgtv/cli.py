@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, else the error's ``exit_code`` (see :mod:`fedgtv.errors`):
 2 configuration error (bad config file, bad hyperparameters), 3 data error
-(missing/unreadable/degenerate input files), 4 training/numerics error
-(degenerate inputs, no finite validation MSE in any of an algorithm's cells).
+(missing/unreadable/degenerate input files, an unwritable --out), 4 training
+error (degenerate inputs, no finite validation MSE in any of an algorithm's cells).
 """
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ def _execute(mode: str, **kwargs) -> None:
         result = run_experiment(mode=mode, **kwargs)
     except FedGTVError as exc:
         _exit(exc.exit_code, exc)
-    except (FileNotFoundError, IsADirectoryError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        _exit(3, exc)  # a missing or unreadable input file
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        _exit(3, exc)  # a missing or unreadable input file, or an --out the OS will not write
     if result["report"] is not None:
         click.echo(result["report"].to_text(), nl=False)
     if "graph" in result["manifest"]:

@@ -74,7 +74,7 @@ __all__ = [
     "select_best",
 ]
 
-ALL_ALGORITHMS = (Algorithm.FEDSGD, Algorithm.FEDAVG1, Algorithm.FEDAVG2)
+ALL_ALGORITHMS = tuple(Algorithm)
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,9 @@ class GridSpec:
 
     Defaults are the usual sweep: alpha in {1, 0.5, 0.1}, eta in
     {0.1, 0.01, 0.001}, degree in {1, 2, 3, 4}, all three algorithms. alphas
-    and degrees only apply to fedsgd. Every (algorithm, eta, alpha) must make
-    a valid OptimizerConfig, whose rule a ParameterError prefixed ``grid``
-    names; no axis repeats a value. Once the node count n is known,
+    and degrees only apply to fedsgd, yet every (algorithm, eta, alpha) must
+    make a valid OptimizerConfig, whose ParameterError names the rule; no
+    axis repeats a value. Once the node count n is known,
     :func:`build_knn_graph` rejects a degree outside [1, n - 1] with
     ParameterError (exit 2) rather than dropping it, so the default degree
     axis fails on data with fewer than 5 nodes.
@@ -98,23 +98,16 @@ class GridSpec:
 
     def __post_init__(self):
         if not self.alphas or not self.etas or not self.degrees or not self.algorithms:
-            raise ParameterError("grid axes must be non-empty")
+            raise ParameterError("axes must be non-empty")
         if any(int(d) != d or d < 1 for d in self.degrees):
-            raise ParameterError("grid degrees must be integers >= 1")
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        object.__setattr__(
-            self, "algorithms", tuple(Algorithm(a) for a in self.algorithms)
-        )
-        try:  # alpha too where only fedsgd reads it, as run checks it
-            [OptimizerConfig(a, eta, alpha) for a in self.algorithms for eta in self.etas for alpha in self.alphas]
-        except ParameterError as exc:
-            raise ParameterError(f"grid {exc}") from exc
+            raise ParameterError("degrees must be integers >= 1")
+        for axis, kind in (("alphas", float), ("etas", float), ("degrees", int), ("algorithms", Algorithm)):
+            object.__setattr__(self, axis, tuple(map(kind, getattr(self, axis))))
+        [OptimizerConfig(a, eta, alpha) for a in self.algorithms for eta in self.etas for alpha in self.alphas]
         for axis in ("alphas", "etas", "degrees", "algorithms"):
             values = [getattr(v, "value", v) for v in getattr(self, axis)]
             if len(set(values)) < len(values):
-                raise ParameterError(f"grid {axis} must not repeat a value, got {', '.join(map(str, values))}")
+                raise ParameterError(f"{axis} must not repeat a value, got {', '.join(map(str, values))}")
 
 
 @dataclass(frozen=True)
@@ -287,18 +280,16 @@ def select_best(cells: Sequence[GridCell]) -> GridCell:
 def run_grid_search(
     datasets: Sequence[LocalDataset],
     grid: GridSpec | None = None,
-    *,
-    batch_size: int = 512,
-    max_iterations: int = 1000,
-    seed: int = 42,
-    trace_every: int = 50,
+    **settings,
 ) -> GridSearchResult:
     """Exhaustively train and score every grid candidate.
 
     fedsgd sweeps alpha x eta x degree, on each degree's union-kNN graph
     whether or not it is connected (``connected`` records which). The
     averaging variants sweep eta only. Each algorithm's cells train together
-    in one :func:`train_cells` call, fresh from zeros (no warm starts):
+    in one :func:`train_cells` call, fresh from zeros (no warm starts), with
+    the ``settings`` of :class:`OptimizerConfig` that no grid holds (its
+    batch_size, max_iterations, seed and trace_every, with its defaults):
     every fedsgd (node, round) mini-batch is drawn once and shared by all
     cells, and each cell's result is bitwise identical to training it alone.
     Each cell keeps its weights, and only each algorithm's winner its
@@ -318,7 +309,6 @@ def run_grid_search(
     grid = GridSpec() if grid is None else grid
     cells: list[GridCell] = []
     best: dict[str, GridCell] = {}
-    settings = dict(batch_size=batch_size, max_iterations=max_iterations, seed=seed, trace_every=trace_every)
     graphs = []  # fedsgd's, one per degree
     if Algorithm.FEDSGD in grid.algorithms:
         disc = discrepancy_matrix(pretrain_local_weights(datasets))
@@ -371,16 +361,16 @@ class ExperimentConfig:
 
     data_path: Path | None = None
     synthetic_path: Path | None = None
-    seed: int = 42
+    seed: int = OptimizerConfig.seed
     columns: dict[str, str] = field(default_factory=dict)
     condition_columns: tuple[str, ...] = DEFAULT_CONDITION_COLUMNS
     degree: int = 2
     algorithms: tuple[Algorithm, ...] = ALL_ALGORITHMS
     eta: float = 0.1
     alpha: float = 0.1
-    batch_size: int = 512
-    max_iterations: int = 1000
-    trace_every: int = 50
+    batch_size: int = OptimizerConfig.batch_size
+    max_iterations: int = OptimizerConfig.max_iterations
+    trace_every: int = OptimizerConfig.trace_every
     grid: GridSpec = field(default_factory=GridSpec)
 
 
@@ -469,6 +459,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, ConfigError) from exc
+    except OSError as exc:  # unreadable, say for want of permission
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text, source=str(path))
@@ -639,8 +631,8 @@ def run_experiment(
     winner from the weights, trace and val scores the search already took;
     "run" is its one-point case at the [optimizer] and [graph] settings, with
     no ``grid.csv``; either's DivergenceError names the cell, round and node.
-    "graph" only builds and exports the empirical graph. The [optimizer]
-    settings a mode trains with are checked before any data loads. Each mode
+    "graph" only builds and exports the empirical graph. A mode's settings,
+    its GridSpec first, are checked once before any data loads. Each mode
     passes through the same stages once: load, graph, train, report, commit;
     the report scores only the test split. Nothing is written until every
     computation has succeeded. The artifacts are written to a hidden staging
@@ -666,17 +658,16 @@ def run_experiment(
         cfg.seed = _parse("preprocess", "seed", str(seed), "--seed")
     if algorithm is not None:
         cfg.algorithms = _parse("optimizer", "algorithm", algorithm, "--algorithm")
-        cfg.grid = replace(cfg.grid, algorithms=cfg.algorithms)
     out = Path(out_dir)
     found = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())  # out, or the ancestor mkdir would create it in
     if not found.is_dir():
         raise ConfigError(f"--out {out}: {found} is not a directory")
     settings = {key: getattr(cfg, key) for key in ("batch_size", "max_iterations", "seed", "trace_every")}
-    if mode == "run":  # every setting the mode trains with, before any data loads; alpha too where nothing uses it
-        for algo in cfg.algorithms:
-            OptimizerConfig(algo, cfg.eta, cfg.alpha, **settings)
-    elif mode == "grid":  # GridSpec checked every eta and alpha it holds
-        OptimizerConfig(cfg.grid.algorithms[0], cfg.grid.etas[0], **settings)
+    if mode != "graph":  # every setting the mode trains with, checked once before any data loads
+        grid = GridSpec((cfg.alpha,), (cfg.eta,), (cfg.degree,), cfg.algorithms) if mode == "run" else cfg.grid
+        if mode == "grid" and algorithm is not None:  # [grid] was checked with its own algorithms as it loaded
+            grid = replace(grid, algorithms=cfg.algorithms)
+        OptimizerConfig(grid.algorithms[0], grid.etas[0], **settings)  # and the settings no grid holds
 
     datasets, source = _load_datasets(cfg)
     manifest: dict = {
@@ -695,7 +686,6 @@ def run_experiment(
     if mode == "graph":
         graph = build_knn_graph(discrepancy_matrix(pretrain_local_weights(datasets)), cfg.degree)
     else:
-        grid = cfg.grid if mode == "grid" else GridSpec((cfg.alpha,), (cfg.eta,), (cfg.degree,), cfg.algorithms)
         result = run_grid_search(datasets, grid, **settings)
         fits = [result.best[algo.value] for algo in grid.algorithms]  # one trained cell per algorithm
         graph = getattr(result.best.get(Algorithm.FEDSGD.value), "graph", None)

@@ -162,7 +162,7 @@ class TestGridSpec:
 
     def test_fedavg2_eta_whose_pull_overflows_rejected(self):
         etas = (0.1, 1e-309)
-        with pytest.raises(ParameterError, match=r"^grid fedavg2 eta must be large enough that 2/eta is finite, got 1e-309$"):
+        with pytest.raises(ParameterError, match=r"^fedavg2 eta must be large enough that 2/eta is finite, got 1e-309$"):
             GridSpec(etas=etas)
         assert GridSpec(etas=etas, algorithms=("fedsgd", "fedavg1")).etas == etas
         assert GridSpec(etas=(1.2e-308,)).etas == (1.2e-308,)
@@ -180,7 +180,7 @@ class TestGridSpec:
     def test_repeated_axis_value_rejected(self, axis, values, shown):
         with pytest.raises(ParameterError) as excinfo:
             GridSpec(**{axis: values})
-        assert str(excinfo.value) == f"grid {axis} must not repeat a value, got {shown}"
+        assert str(excinfo.value) == f"{axis} must not repeat a value, got {shown}"
 
 
 class TestEvaluate:
@@ -578,6 +578,17 @@ class TestLoadExperimentConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_experiment_config(tmp_path / "absent.ini")
+
+    def test_unreadable_file(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, "[optimizer]\neta = 0.1\n")
+
+        def refused(self, *args, **kwargs):  # as the OS refuses a user without read permission
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refused)
+        with pytest.raises(ConfigError) as info:
+            load_experiment_config(path)
+        assert str(info.value) == f"{path}: Permission denied"
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError, match="section"):
@@ -1215,6 +1226,15 @@ class TestCli:
         )
         assert result.exit_code == 3
 
+    def test_data_path_under_a_file_exits_3(self, tmp_path):
+        cfg = synthetic_config(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        data, out = cfg / "rows.csv", tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--data", str(data), "--out", str(out))
+        assert result.exit_code == 3, result.output
+        assert result.stderr == f"data error: [Errno 20] Not a directory: '{data}'\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -1322,7 +1342,7 @@ class TestCli:
         out = tmp_path / "out"
         result = self.run_cli("grid", "--config", str(cfg), "--out", str(out))
         assert result.exit_code == 2, result.output
-        assert f"config error: [grid] grid {key} must not repeat a value, got {value}" in result.output
+        assert f"config error: [grid] {key} must not repeat a value, got {value}" in result.output
         assert "Traceback" not in result.output
         assert not out.exists()
 
@@ -1556,7 +1576,7 @@ class TestCli:
             ),
             (
                 "grid", "[grid]\netas = 0.1, 1e-309\nalgorithms = fedavg1, fedavg2",
-                "[grid] grid fedavg2 eta must be large enough that 2/eta is finite",
+                "[grid] fedavg2 eta must be large enough that 2/eta is finite",
             ),
         ],
         ids=["run", "run_after_fedavg1", "grid"],
@@ -1578,6 +1598,37 @@ class TestCli:
         result = self.run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "metrics.json").is_file()
+
+    @pytest.mark.parametrize(
+        "mode, body, options",
+        [
+            ("run", "[optimizer]\nalgorithm = fedavg1\neta = 1e-309", ["--algorithm", "fedavg2"]),
+            ("grid", "[grid]\nalgorithms = fedavg1\netas = 0.1, 1e-309", ["--algorithm", "fedavg2"]),  # the one mode that reads [grid]
+            # the grid's rules, for every algorithm, come before the settings that no grid holds
+            ("run", "[optimizer]\nalgorithm = fedsgd, fedavg2\neta = 1e-309\nbatch_size = 0", []),
+        ],
+        ids=["run_override", "grid_override", "run_before_batch_size"],
+    )
+    def test_every_algorithm_is_checked_before_any_data_loads(self, tmp_path, monkeypatch, mode, body, options):
+        def no_load(cfg):
+            raise AssertionError("data loaded before the settings were checked")
+
+        monkeypatch.setattr(experiment_harness, "_load_datasets", no_load)
+        cfg = write_config(tmp_path, f"[data]\ncsv = {FIXTURE}\n\n{body}\n")
+        out = tmp_path / "out"
+        result = self.run_cli(mode, "--config", str(cfg), "--out", str(out), *options)
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "config error: fedavg2 eta must be large enough that 2/eta is finite, got 1e-309\n"
+        assert not out.exists()
+
+    def test_run_algorithm_override_leaves_grid_section_alone(self, tmp_path):
+        # [grid] was checked with its own algorithms as it loaded, and run never reads it
+        cfg = write_config(tmp_path, f"[data]\ncsv = {FIXTURE}\n\n[grid]\nalgorithms = fedavg1\netas = 0.1, 1e-309\n")
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(out), "--algorithm", "fedavg2")
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        assert [b["algorithm"] for b in json.loads((out / "metrics.json").read_text())["algorithms"]] == ["fedavg2"]
 
     @pytest.mark.parametrize(
         "dangling, under",

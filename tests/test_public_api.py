@@ -1,4 +1,5 @@
-"""Guards for the package's single declarations: each module's ``__all__`` and imports, and each error's ``exit_code``."""
+"""Guards for the package's single declarations: each module's ``__all__`` and imports, each error's ``exit_code``,
+and the oldest Python that ``requires-python`` names."""
 import ast
 import inspect
 import json
@@ -139,6 +140,8 @@ def test_every_error_declares_its_exit_code():
     + [
         (FileNotFoundError("boom"), 3, "data"),
         (IsADirectoryError("boom"), 3, "data"),
+        (NotADirectoryError(20, "Not a directory", "rows.csv"), 3, "data"),
+        (PermissionError(13, "Permission denied", "rows.csv"), 3, "data"),
         (json.JSONDecodeError("boom", "{", 0), 3, "data"),
         (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "boom"), 3, "data"),
     ],
@@ -152,3 +155,10 @@ def test_cli_exits_with_the_error_code(monkeypatch, exc, code, prefix):
     result = CliRunner().invoke(cli.main, ["run", "--config", "exp.ini"])
     assert result.exit_code == code
     assert result.stderr == f"{prefix} error: {exc}\n"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "fedgtv").glob("*.py")), ids=lambda path: path.name)
+def test_source_parses_as_the_oldest_python_it_declares(path):
+    # syntax only: this does not run the package under that version
+    assert re.search(r'^requires-python = ">=3\.10"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
