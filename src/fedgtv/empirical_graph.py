@@ -58,9 +58,6 @@ class EmpiricalGraph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[i])
-
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(int)
 

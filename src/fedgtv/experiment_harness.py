@@ -389,14 +389,6 @@ def _algorithms(raw: str) -> tuple[Algorithm, ...]:
     return ALL_ALGORITHMS if raw.strip() == "all" else _list_of(Algorithm)(raw)
 
 
-def _run_algorithms(raw: str) -> tuple[Algorithm, ...]:
-    """:func:`_algorithms` without a repeat: ``run`` would train and report a repeat twice."""
-    algorithms = _algorithms(raw)
-    if len(set(algorithms)) < len(algorithms):
-        raise ValueError(f"must not repeat a value, got {', '.join(a.value for a in algorithms)}")
-    return algorithms
-
-
 def _int_at_least(low: int, rule: str):
     def parse(raw: str) -> int:
         value = int(raw)
@@ -416,7 +408,7 @@ _CONFIG_KEYS = {
     ("preprocess", "seed"): ("seed", _int_at_least(0, "non-negative")),
     ("preprocess", "condition_columns"): ("condition_columns", _list_of(str)),
     ("graph", "degree"): ("degree", _int_at_least(1, ">= 1")),  # n - 1 is checked once the data loads
-    ("optimizer", "algorithm"): ("algorithms", _run_algorithms),
+    ("optimizer", "algorithm"): ("algorithms", _algorithms),  # a repeat fails run's GridSpec
     ("optimizer", "eta"): ("eta", float),
     ("optimizer", "alpha"): ("alpha", float),
     ("optimizer", "batch_size"): ("batch_size", int),
@@ -450,16 +442,22 @@ def load_experiment_config(path) -> ExperimentConfig:
 
     Every key parses through its ``_CONFIG_KEYS`` entry. Relative data paths
     resolve against the config file's directory. All sections and keys are
-    optional; missing values take ExperimentConfig and GridSpec defaults.
+    optional; missing values take ExperimentConfig and GridSpec defaults. A
+    file the OS will not read raises ConfigError, as a missing one does.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+    return _load_config(Path(path))[0]
+
+
+def _load_config(path: Path) -> tuple[ExperimentConfig, bytes]:
+    """:func:`load_experiment_config`'s config and the bytes it parsed, from one read."""
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # read_text's universal newlines
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, ConfigError) from exc
-    except OSError as exc:  # unreadable, say for want of permission
+    except OSError as exc:  # unreadable, say for want of permission on the file or its directory
         raise ConfigError(f"{path}: {exc.strerror}") from exc
     parser = configparser.ConfigParser()
     try:
@@ -492,7 +490,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         settings["grid"] = GridSpec(**grid)
     except ParameterError as exc:
         raise ConfigError(f"[grid] {exc}") from exc
-    return ExperimentConfig(**settings)
+    return ExperimentConfig(**settings), raw
 
 
 def _tuples(value):
@@ -541,14 +539,11 @@ def load_synthetic_spec(path) -> SyntheticSpec:
 
 
 def _render_trace_csv(traces: dict[str, TrainingTrace], node_ids: Sequence[int]) -> str:
-    lines = [
-        "algorithm,round,objective," + ",".join(f"train_mse_node{i}" for i in node_ids)
-    ]
+    lines = ["algorithm,round,objective," + ",".join(f"train_mse_node{i}" for i in node_ids)]
+    row = "%s,%s,%.17g" + ",%.17g" * len(node_ids)  # Python floats format faster than numpy scalars, to the same text
     for name, trace in traces.items():
         for k, obj, losses in zip(trace.rounds, trace.objective, trace.node_losses):
-            lines.append(
-                f"{name},{k},{obj:.17g}," + ",".join(f"{v:.17g}" for v in losses)
-            )
+            lines.append(row % (name, k, obj, *losses.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -647,7 +642,7 @@ def run_experiment(
     """
     if mode not in ("run", "grid", "graph"):
         raise ParameterError(f"unknown mode {mode!r}")
-    cfg = load_experiment_config(config_path)
+    cfg, raw_config = _load_config(Path(config_path))
     if data is not None and synthetic is not None:
         raise ConfigError("pass at most one of --data and --synthetic")
     if data is not None:
@@ -672,7 +667,7 @@ def run_experiment(
     datasets, source = _load_datasets(cfg)
     manifest: dict = {
         "config_name": Path(config_path).name,
-        "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
+        "config_sha256": hashlib.sha256(raw_config).hexdigest(),
         "mode": mode,
         "seed": cfg.seed,
         "source": source,

@@ -4,14 +4,16 @@ Run with ``pytest -v -s tests/test_acceptance.py`` to see the PASS lines.
 Criterion 7 exercises the public hospital length-of-stay benchmark and skips
 itself when the CSV is not present; set FEDGTV_LOS_CSV or place
 LengthOfStay.csv under tests/data/ to enable it. The paper grid also runs,
-pinned, on the benchmark's seeded public-format stand-in for that CSV, and
-on twelve small stand-ins that show where federation pays. The default grid
+pinned, on the benchmark's seeded public-format stand-in for that CSV, on
+twelve small stand-ins that show where federation pays, and on three whose
+facilities move their numerics apart (covariate shift). The default grid
 also runs on small clustered nodes, the regime GTVMin is for, 10 and 60 of them.
 """
 
 import csv
 import json
 import os
+import shutil
 import textwrap
 from pathlib import Path
 
@@ -476,6 +478,96 @@ def test_where_federation_pays_on_small_stand_ins(tmp_path):
         f"{count(lambda local, pooled, sgd, *avg: sgd < local)}, pooled in "
         f"{count(lambda local, pooled, sgd, *avg: sgd < pooled)} and both averaging variants in "
         f"{count(lambda local, pooled, sgd, *avg: sgd < min(avg))}"
+    )
+
+
+def write_shifted_los(inputs, los, out: Path, shift: float) -> Path:
+    """A copy of the write_los stand-in ``los`` whose numerics each facility moves; returns its config.
+
+    In population sds, facility f's column j moves its mean by shift * N(0, 1)
+    and scales its spread by exp(0.5 * shift * N(0, 1)). Each label moves by
+    the numerics' LOS_WEIGHTS times that move, so one raw relation holds at
+    every facility, as far as write_los's per-facility weights let it.
+    ``inputs`` is the benchmark's input module, which wrote ``los``.
+    """
+    with (los.config.parent / "los.csv").open(newline="") as fh:
+        header, *lines = list(csv.reader(fh))
+    columns, label = [header.index(name) for name in inputs.NUMERICS], header.index("lengthofstay")
+    fields = np.array(lines)
+    node = np.searchsorted(sorted(los.nodes), fields[:, header.index("facid")])
+    mean, sd = np.array(inputs.NUMERIC_SHAPES)[:, :2].T
+    rng = np.random.default_rng(los.split_seed)
+    offset = shift * rng.standard_normal((len(los.nodes), len(columns)))
+    scale = np.exp(0.5 * shift * rng.standard_normal((len(los.nodes), len(columns))))
+    z = (fields[:, columns].astype(float) - mean) / sd
+    moved = offset[node] + scale[node] * z
+    labels = np.clip(np.round(fields[:, label].astype(int) + (moved - z) @ inputs.LOS_WEIGHTS[8:17]), 1, 17)
+    for line, values, y in zip(lines, (mean + sd * moved).tolist(), labels.astype(int).tolist()):
+        for c, value in zip(columns, values):
+            line[c] = repr(value)
+        line[label] = str(y)
+    out.mkdir()
+    with (out / "los.csv").open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *lines])
+    shutil.copy(los.config, out / "los.ini")
+    return out / "los.ini"
+
+
+# Under covariate shift: the default grid on write_los(seed) stand-ins of 5
+# facilities x 400 rows, as written (shift 0) and through write_shifted_los
+# (shift 1), keyed (shift, seed). The selected (alpha, eta, degree) of fedsgd and
+# eta of fedavg1 and fedavg2; then mean test MSE (local, pooled, fedsgd, fedavg1,
+# fedavg2), as in FEDERATION_TEST_MSE.
+COVARIATE_SHIFT_SELECTED = {
+    (0.0, 1): ((0.1, 0.1, 1), 0.1, 0.1),
+    (1.0, 1): ((0.1, 0.1, 1), 0.1, 0.1),
+    (0.0, 2): ((0.1, 0.1, 2), 0.1, 0.1),
+    (1.0, 2): ((0.1, 0.1, 1), 0.1, 0.1),
+    (0.0, 3): ((0.1, 0.1, 1), 0.1, 0.1),
+    (1.0, 3): ((0.1, 0.1, 1), 0.1, 0.1),
+}
+COVARIATE_SHIFT_TEST_MSE = {
+    (0.0, 1): (1.49886696235, 1.77892539789, 1.54908010387, 1.77893029871, 1.77915034984),
+    (1.0, 1): (1.49467414153, 2.11464024507, 1.54349855182, 2.11464762827, 2.11681931909),
+    (0.0, 2): (1.47669216082, 1.54958920008, 1.41677300054, 1.54958092534, 1.54775496625),
+    (1.0, 2): (1.40593088794, 1.63601140434, 1.36095168042, 1.63601096502, 1.63289248968),
+    (0.0, 3): (1.58062866133, 1.75206458989, 1.54524333687, 1.75210208218, 1.75442041408),
+    (1.0, 3): (1.45404151438, 2.4361401883, 1.44284895712, 2.4362340027, 2.43978780964),
+}
+
+
+def test_covariate_shift_on_small_stand_ins(tmp_path):
+    # Each node z-scores its features with its own training statistics, so a
+    # facility's move is undone in its features but not in its labels: the
+    # shared models of pooling and averaging see a different relation per node.
+    los_inputs = load_perfbench_inputs()
+    shape = los_inputs.LosShape(tuple((facility, 400) for facility in "ABCDE"), malformed_per_kind=0)
+    found = {}
+    for seed in (1, 2, 3):
+        los = los_inputs.write_los(seed, tmp_path / str(seed), shape)
+        for shift in (0.0, 1.0):
+            config = los.config if shift == 0 else write_shifted_los(los_inputs, los, tmp_path / f"{seed}_moved", shift)
+            result = run_experiment(config, config.parent / "out", mode="grid", algorithm="all")
+            fedsgd, fedavg1, fedavg2 = (dict(b.hyperparameters) for b in result["report"].blocks)
+            selected = ((fedsgd["alpha"], fedsgd["eta"], fedsgd["degree"]), fedavg1["eta"], fedavg2["eta"])
+            assert selected == COVARIATE_SHIFT_SELECTED[shift, seed], (shift, seed)
+            datasets, _ = load_preprocessed(config.parent / "los.csv", seed=los.split_seed)
+            local = np.mean([mse_loss(*ds.test, least_squares_fit(*ds.train)) for ds in datasets])
+            pooled_w = least_squares_fit(*(np.concatenate(part) for part in zip(*(ds.train for ds in datasets))))
+            pooled = np.mean([mse_loss(*ds.test, pooled_w) for ds in datasets])
+            found[shift, seed] = (local, pooled, *(b.mean_test for b in result["report"].blocks))
+            assert found[shift, seed] == pytest.approx(COVARIATE_SHIFT_TEST_MSE[shift, seed], rel=1e-9), (shift, seed)
+    # On every seed the shift leaves the order of the five unchanged and widens
+    # the gap by which pooling and averaging trail the local fits and fedsgd.
+    gap = lambda local, pooled, sgd, *averaging: (pooled - local, min(averaging) - sgd)
+    for seed in (1, 2, 3):
+        assert np.argsort(found[0.0, seed]).tolist() == np.argsort(found[1.0, seed]).tolist(), seed
+        assert all(np.greater(gap(*found[1.0, seed]), gap(*found[0.0, seed]))), seed
+    print(
+        "PASS covariate shift: moving each facility's numeric means and scales leaves the order of local, "
+        "pooled and the three algorithms unchanged on seeds 1-3 and widens pooled - local from "
+        + ", ".join(f"{gap(*found[0.0, s])[0]:.3f}" for s in (1, 2, 3)) + " to "
+        + ", ".join(f"{gap(*found[1.0, s])[0]:.3f}" for s in (1, 2, 3))
     )
 
 

@@ -44,7 +44,7 @@ class TestEmpiricalGraph:
     def test_neighbors_degrees_edges(self):
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert g.n == 4
-        assert g.neighbors(1).tolist() == [0, 2]
+        assert np.flatnonzero(g.adjacency[1]).tolist() == [0, 2]
         assert g.degrees().tolist() == [1, 2, 2, 1]
         assert g.edges() == [(0, 1), (1, 2), (2, 3)]
 

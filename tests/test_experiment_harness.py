@@ -1,5 +1,6 @@
 import configparser
 import errno
+import hashlib
 import json
 import math
 import os
@@ -585,10 +586,17 @@ class TestLoadExperimentConfig:
         def refused(self, *args, **kwargs):  # as the OS refuses a user without read permission
             raise PermissionError(13, "Permission denied", str(self))
 
-        monkeypatch.setattr(Path, "read_text", refused)
+        monkeypatch.setattr(Path, "read_bytes", refused)
         with pytest.raises(ConfigError) as info:
             load_experiment_config(path)
         assert str(info.value) == f"{path}: Permission denied"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_universal_newlines(self, tmp_path, newline):
+        body = "[data]\ncsv = rows.csv\n\n[optimizer]\nalgorithm = fedavg1\neta = 0.2\n\n[grid]\netas = 0.5, 0.05\n"
+        (tmp_path / "lf.ini").write_bytes(body.encode())
+        (tmp_path / "other.ini").write_bytes(body.replace("\n", newline).encode())
+        assert load_experiment_config(tmp_path / "other.ini") == load_experiment_config(tmp_path / "lf.ini")
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError, match="section"):
@@ -623,10 +631,9 @@ class TestLoadExperimentConfig:
             load_experiment_config(write_config(tmp_path, "[optimizer]\nalgorithm = sgd\n"))
 
     def test_repeated_optimizer_algorithm(self, tmp_path):
-        cfg = write_config(tmp_path, "[optimizer]\nalgorithm = fedavg1, fedsgd, fedavg1\n")
-        with pytest.raises(ConfigError) as excinfo:
-            load_experiment_config(cfg)
-        assert str(excinfo.value) == "[optimizer] algorithm: must not repeat a value, got fedavg1, fedsgd, fedavg1"
+        # loaded as written: run's one-point GridSpec rejects the repeat, and grid and graph never read the key
+        cfg = load_experiment_config(write_config(tmp_path, "[optimizer]\nalgorithm = fedavg1, fedsgd, fedavg1\n"))
+        assert [a.value for a in cfg.algorithms] == ["fedavg1", "fedsgd", "fedavg1"]
 
     def test_unknown_logical_column(self, tmp_path):
         with pytest.raises(ConfigError, match="heartrate"):
@@ -1166,6 +1173,63 @@ class TestCli:
     def test_missing_config_exits_2(self, tmp_path):
         result = self.run_cli("run", "--config", str(tmp_path / "nope.ini"))
         assert result.exit_code == 2
+        assert result.stderr == f"config error: config file not found: {tmp_path / 'nope.ini'}\n"
+
+    @pytest.mark.parametrize("where", ["directory", "under_a_file"])
+    def test_config_that_is_no_file_exits_2(self, tmp_path, where):
+        config = tmp_path if where == "directory" else synthetic_config(tmp_path) / "exp.ini"
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(config), "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"config error: config file not found: {config}\n"
+        assert not out.exists()
+
+    def test_config_in_an_unsearchable_directory_exits_2(self, tmp_path, monkeypatch):
+        cfg = synthetic_config(tmp_path)
+
+        def refused(method):  # as the OS refuses every path in a directory the user may not search; root may search any
+            def call(self, *args, **kwargs):
+                if self == cfg:
+                    raise PermissionError(errno.EACCES, "Permission denied", str(self))
+                return method(self, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(Path, "stat", refused(Path.stat))
+        monkeypatch.setattr(Path, "read_bytes", refused(Path.read_bytes))
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"config error: {cfg}: Permission denied\n"
+        assert not out.exists()
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_config_on_a_pipe_loads(self, tmp_path):
+        write_spec(tmp_path)
+        body = f"[data]\nsynthetic = {tmp_path / 'spec.json'}\n".encode()
+        read, write = os.pipe()
+        os.write(write, body)
+        os.close(write)
+        try:  # as the shell passes --config <(...)
+            result = self.run_cli("graph", "--config", f"/dev/fd/{read}", "--out", str(tmp_path / "out"))
+        finally:
+            os.close(read)
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config_sha256"] == hashlib.sha256(body).hexdigest()
+
+    def test_manifest_hashes_the_config_bytes_it_parsed(self, tmp_path, monkeypatch):
+        cfg = synthetic_config(tmp_path)
+        original, load = cfg.read_bytes(), experiment_harness._load_datasets
+
+        def load_then_delete_the_config(config):
+            cfg.unlink()
+            return load(config)
+
+        monkeypatch.setattr(experiment_harness, "_load_datasets", load_then_delete_the_config)
+        out = tmp_path / "out"
+        result = self.run_cli("run", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 0, result.output
+        assert not cfg.exists()
+        assert json.loads((out / "manifest.json").read_text())["config_sha256"] == hashlib.sha256(original).hexdigest()
 
     def test_bad_config_value_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "[optimizer]\neta = fast\n")
@@ -1346,15 +1410,29 @@ class TestCli:
         assert "Traceback" not in result.output
         assert not out.exists()
 
-    def test_repeated_optimizer_algorithm_exits_2(self, tmp_path):
+    def test_repeated_optimizer_algorithm_exits_2(self, tmp_path, monkeypatch):
+        def no_load(cfg):
+            raise AssertionError("data loaded before the settings were checked")
+
+        monkeypatch.setattr(experiment_harness, "_load_datasets", no_load)
         write_spec(tmp_path)
         body = "[data]\nsynthetic = spec.json\n\n[optimizer]\nalgorithm = fedavg1, fedavg1\nmax_iterations = 20\n"
         out = tmp_path / "out"
         result = self.run_cli("run", "--config", str(write_config(tmp_path, body)), "--out", str(out))
         assert result.exit_code == 2, result.output
-        assert "config error: [optimizer] algorithm: must not repeat a value, got fedavg1, fedavg1" in result.output
-        assert "Traceback" not in result.output
+        assert result.stderr == "config error: algorithms must not repeat a value, got fedavg1, fedavg1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["grid", "graph"])
+    def test_repeated_optimizer_algorithm_is_not_read_by_grid_or_graph(self, tmp_path, mode):
+        write_spec(tmp_path)
+        body = "[data]\nsynthetic = spec.json\n\n[optimizer]\nalgorithm = fedavg1, fedavg1\nmax_iterations = 20\n"
+        body += "\n[grid]\netas = 0.05\ndegrees = 2\nalphas = 0.1\n"
+        out = tmp_path / "out"
+        result = self.run_cli(mode, "--config", str(write_config(tmp_path, body)), "--out", str(out))
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        assert (out / "manifest.json").is_file()
 
     def test_non_finite_feature_statistic_exits_3(self, tmp_path):
         # finite glucose values near 1e300 pass the drop rules, but any two of
